@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import complexes
-from .complexes import Complex, Vertex, is_forest, is_tree  # noqa: F401  (re-export)
+from .complexes import Complex, Vertex
 
 
 class Slope(NamedTuple):

@@ -22,9 +22,15 @@ cost of an a.  The rule sets terminate (each rule lowers the measure
 returned by :func:`termination_measure`) and are locally confluent
 (:func:`check_local_confluence` returns no critical pairs), so normal
 forms are unique and word equality is decidable.
+
+One stack engine, :func:`rewrite`, applies every rule set here: its stack
+stays irreducible, so only rules ending in the token just pushed are
+tried, and confluence makes the unique normal form independent of that
+strategy.  :func:`element_order` and :func:`amalgam_assemble` reuse it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -69,12 +75,15 @@ def format_tokens(word: Word) -> str:
     return " ".join(word) if word else "1"
 
 
+_ALLOWED_TOKENS = {c: frozenset(a + invert_word(a)) for c, a in _ALPHABETS.items()}
+
+
 def _check_alphabet(word: Word, case: str) -> None:
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    allowed = set(_ALPHABETS[case])
+    allowed = _ALLOWED_TOKENS[case]
     for tok in word:
-        if _base(tok) not in allowed or tok.count("'") > 1:
+        if tok not in allowed:
             raise ValueError(
                 f"token {tok!r} is not over the case-{case} alphabet "
                 f"{_ALPHABETS[case]}"
@@ -101,15 +110,8 @@ class Presentation:
 
 
 def _collapse_runs(word: Word) -> str:
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        parts.append(word[i] if j - i == 1 else f"{word[i]}^{j - i}")
-        i = j
-    return " ".join(parts)
+    runs = [(tok, len(list(group))) for tok, group in groupby(word)]
+    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)
 
 
 def presentation_text(p: Presentation) -> str:
@@ -259,14 +261,8 @@ class AmalgamData:
         object.__setattr__(self, "embed_b", MappingProxyType(dict(self.embed_b)))
 
 
-def _free_cancel(word: Word) -> Word:
-    out: list[str] = []
-    for tok in word:
-        if out and (out[-1] == tok + "'" or tok == out[-1] + "'"):
-            out.pop()
-        else:
-            out.append(tok)
-    return tuple(out)
+def _free_cancellation(gens: Iterable[str]) -> list[tuple[Word, Word]]:
+    return [r for g in gens for r in (((g, g + "'"), ()), ((g + "'", g), ()))]
 
 
 def amalgam_assemble(data: AmalgamData) -> Presentation:
@@ -293,8 +289,9 @@ def amalgam_assemble(data: AmalgamData) -> Presentation:
     for r in a.relators + b.relators:
         if r not in relators:
             relators.append(r)
+    free_cancel = _free_cancellation(generators)
     for c in data.edge.generators:
-        rel = _free_cancel(data.embed_a[c] + invert_word(data.embed_b[c]))
+        rel = rewrite(data.embed_a[c] + invert_word(data.embed_b[c]), free_cancel)
         if rel and rel not in relators:
             relators.append(rel)
     central = tuple(g for g in a.central if g in b.central)
@@ -324,34 +321,36 @@ def case_amalgam(case: str) -> AmalgamData:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """An ordered list of rules (left word -> right word) together with a
-    description of the termination order every rule decreases."""
+    """An ordered list of rules (left word -> right word, left never empty)
+    with a description of the termination order every rule decreases."""
 
     rules: tuple[tuple[Word, Word], ...]
     order_note: str = ""
+    # token -> (left side as a list, reversed right side) of each rule
+    # whose left-hand side ends in that token, in rule order
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[str, list[tuple[list[str], Word]]] = {}
+        for lhs, rhs in self.rules:
+            if not lhs:
+                raise ValueError(f"rule {lhs!r} -> {rhs!r} has an empty left-hand side")
+            index.setdefault(lhs[-1], []).append((list(lhs), rhs[::-1]))
+        object.__setattr__(self, "_index", index)
 
 
 def _build_rules(case: str) -> RewriteSystem:
     gens = _ALPHABETS[case]
-    rules: list[tuple[Word, Word]] = []
-    for g in gens:
-        if g in _INVOLUTIONS:
-            rules.append(((g + "'",), (g,)))
-    for g in gens:
-        if g in _INVOLUTIONS:
-            rules.append(((g, g), ()))
-    for g in ("b", "t"):
-        if g in gens:
-            rules.append(((g, g + "'"), ()))
-            rules.append(((g + "'", g), ()))
+    involutions = [g for g in gens if g in _INVOLUTIONS]
+    rules: list[tuple[Word, Word]] = [((g + "'",), (g,)) for g in involutions]
+    rules += [((g, g), ()) for g in involutions]
+    free = [g for g in ("b", "t") if g in gens]
+    rules += _free_cancellation(free)
     if case == "1b":
         rules.append((("d", "b"), ("a", "b", "d")))
         rules.append((("d", "b'"), ("a", "b'", "d")))
-    movers = [g for g in gens if g != "a" and g in _INVOLUTIONS]
-    free = [g for g in ("b", "t") if g in gens]
-    a_left = [g for g in gens if g in _INVOLUTIONS and g != "a"]
-    a_left += [tok for g in free for tok in (g, g + "'")]
-    for tok in a_left:
+    movers = [g for g in involutions if g != "a"]
+    for tok in movers + [tok for g in free for tok in (g, g + "'")]:
         rules.append(((tok, "a"), ("a", tok)))
     if "t" in gens:
         for tok in [g for g in movers if g != "t"] + ["b", "b'"]:
@@ -378,11 +377,7 @@ def termination_measure(word: Word) -> tuple[int, int, int, int, int]:
     """The well-founded measure that every rule application decreases:
     (number of d-before-b pairs, length, number of primed tokens, sum of
     positions of a letters, sum of positions of t letters)."""
-    inversions = 0
-    ds = 0
-    primes = 0
-    a_pos = 0
-    t_pos = 0
+    inversions = ds = primes = a_pos = t_pos = 0
     for i, tok in enumerate(word):
         base = _base(tok)
         if tok.endswith("'"):
@@ -398,31 +393,36 @@ def termination_measure(word: Word) -> tuple[int, int, int, int, int]:
     return (inversions, len(word), primes, a_pos, t_pos)
 
 
-def rewrite(word: Word, rules: Iterable[tuple[Word, Word]]) -> Word:
-    """Apply the rules to exhaustion, scanning left to right and backing
-    up after each application.  For a terminating, locally confluent
-    system the result is the unique normal form."""
-    rules = tuple(rules)
-    w = list(word)
-    max_lhs = max((len(l) for l, _ in rules), default=1)
-    i = 0
-    while i < len(w):
-        for lhs, rhs in rules:
-            k = len(lhs)
-            if tuple(w[i : i + k]) == lhs:
-                w[i : i + k] = rhs
-                i = max(0, i - max_lhs + 1)
+def _push(stack: list[str], word: Word, index: dict) -> list[str]:
+    """Push ``word`` onto the irreducible ``stack``, rewriting as it goes."""
+    pending = list(reversed(word))
+    while pending:
+        tok = pending.pop()
+        stack.append(tok)
+        for lhs, rhs_reversed in index.get(tok, ()):
+            if stack[-len(lhs) :] == lhs:
+                del stack[-len(lhs) :]
+                pending += rhs_reversed
                 break
-        else:
-            i += 1
-    return tuple(w)
+    return stack
+
+
+def rewrite(word: Word, rules: RewriteSystem | Iterable[tuple[Word, Word]]) -> Word:
+    """Apply the rules to exhaustion.  Tokens are pushed one at a time onto a
+    stack that stays irreducible, so a new redex must end at the token just
+    pushed: only rules whose left-hand side ends in it are tried, and a match
+    is popped and its right-hand side read next.  A terminating, locally
+    confluent system has one normal form that every strategy reaches, so
+    this one returns it.  Raises ValueError on an empty left-hand side."""
+    rs = rules if isinstance(rules, RewriteSystem) else RewriteSystem(tuple(rules))
+    return tuple(_push([], word, rs._index))
 
 
 def normal_form(case: str, word: Word) -> Word:
     """The unique irreducible word equal to ``word`` in the case's
     group; idempotent."""
     _check_alphabet(word, case)
-    return rewrite(word, rewrite_system(case).rules)
+    return rewrite(word, rewrite_system(case))
 
 
 def equal(case: str, w1: Word, w2: Word) -> bool:
@@ -463,16 +463,16 @@ def check_local_confluence(rs: RewriteSystem) -> list[CriticalPair]:
                 word = l1 + l2[k:]
                 record(
                     word,
-                    rewrite(r1 + l2[k:], rules),
-                    rewrite(l1[: len(l1) - k] + r2, rules),
+                    rewrite(r1 + l2[k:], rs),
+                    rewrite(l1[: len(l1) - k] + r2, rs),
                 )
             if len(l2) < len(l1):
                 for i in range(len(l1) - len(l2) + 1):
                     if l1[i : i + len(l2)] == l2:
                         record(
                             l1,
-                            rewrite(r1, rules),
-                            rewrite(l1[:i] + r2 + l1[i + len(l2) :], rules),
+                            rewrite(r1, rs),
+                            rewrite(l1[:i] + r2 + l1[i + len(l2) :], rs),
                         )
     return bad
 
@@ -556,13 +556,13 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 def element_order(case: str, word: Word, cutoff: int = 64) -> int | None:
     """Order of the element, probing powers up to ``cutoff``; None means
     no torsion was found up to the cutoff (not a proof of infinite
-    order)."""
+    order).  The reduced power stays on the rewriting stack and each step
+    pushes one more copy of the normal form onto it."""
     nf = normal_form(case, word)
     if not nf:
         return 1
-    power: Word = ()
+    power: list[str] = []
     for k in range(1, cutoff + 1):
-        power = rewrite(power + nf, rewrite_system(case).rules)
-        if not power:
+        if not _push(power, nf, rewrite_system(case)._index):
             return k
     return None

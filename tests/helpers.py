@@ -65,3 +65,23 @@ def goeritz_insertion_words(case):
                 words.append((g, z, g + "'", z + "'"))
                 words.append((z, g, z + "'", g + "'"))
     return words
+
+
+def rewrite_oracle(word, rules):
+    """Plain rule rewriting: scan left to right, try every rule at each
+    position, splice the first match in and back up.  The library's stack
+    engine must reach the same normal forms on confluent systems."""
+    rules = tuple(rules)
+    w = list(word)
+    max_lhs = max((len(l) for l, _ in rules), default=1)
+    i = 0
+    while i < len(w):
+        for lhs, rhs in rules:
+            k = len(lhs)
+            if tuple(w[i : i + k]) == lhs:
+                w[i : i + k] = rhs
+                i = max(0, i - max_lhs + 1)
+                break
+        else:
+            i += 1
+    return tuple(w)
