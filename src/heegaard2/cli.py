@@ -150,14 +150,12 @@ def _cmd_goeritz(args) -> int:
 
 def _cmd_farey(args) -> int:
     if args.max_depth < 0:
-        print("error: --max-depth must be non-negative", file=sys.stderr)
-        return 1
+        raise ValueError("--max-depth must be non-negative")
+    if args.check_tree and not args.odd:
+        raise ValueError("--check-tree requires --odd")
     ball = farey.stern_brocot_ball(args.max_depth)
     cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
     if args.check_tree:
-        if not args.odd:
-            print("error: --check-tree requires --odd", file=sys.stderr)
-            return 1
         forest_ok = complexes.is_forest(cpx)
         reach_ok = farey.odd_vertices_reach_infinity(args.max_depth)
         print(f"forest: {_bool(forest_ok)}")
@@ -170,36 +168,29 @@ def _cmd_farey(args) -> int:
 def _cmd_sphere_complex(args) -> int:
     if args.cone is not None:
         cpx = complexes.sp_cone_model(args.cone)
-        ok = complexes.cone_check(cpx)
-        if args.format in ("dot", "json"):
-            _print_complex(cpx, args.format)
-        else:
-            print(f"vertices: {len(cpx.vertices)}")
-            print(f"edges: {len(cpx.edges)}")
-            print(f"cone: {_bool(ok)}")
-        return 0 if ok else 2
-    missing = [
-        name
-        for name, value in (
-            ("--blacks", args.blacks),
-            ("--whites-per-black", args.whites_per_black),
-            ("--farey-depth", args.farey_depth),
+        verdict, ok = "cone", complexes.cone_check(cpx)
+    else:
+        missing = [
+            name
+            for name, value in (
+                ("--blacks", args.blacks),
+                ("--whites-per-black", args.whites_per_black),
+                ("--farey-depth", args.farey_depth),
+            )
+            if value is None
+        ]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)} (or use --cone)")
+        cpx = complexes.haken_complex_model(
+            args.blacks, args.whites_per_black, args.farey_depth
         )
-        if value is None
-    ]
-    if missing:
-        print(f"error: missing {', '.join(missing)} (or use --cone)", file=sys.stderr)
-        return 1
-    cpx = complexes.haken_complex_model(
-        args.blacks, args.whites_per_black, args.farey_depth
-    )
-    ok = complexes.is_tree(cpx)
+        verdict, ok = "tree", complexes.is_tree(cpx)
     if args.format in ("dot", "json"):
         _print_complex(cpx, args.format)
     else:
         print(f"vertices: {len(cpx.vertices)}")
         print(f"edges: {len(cpx.edges)}")
-        print(f"tree: {_bool(ok)}")
+        print(f"{verdict}: {_bool(ok)}")
     return 0 if ok else 2
 
 

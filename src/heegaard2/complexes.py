@@ -77,7 +77,12 @@ def neighbors(c: Complex) -> dict[int, list[int]]:
 def component(c: Complex, start: int) -> list[int]:
     """Vertex ids of the connected component of ``start``, in BFS order
     (neighbors visited in increasing id order)."""
-    adj = neighbors(c)
+    return bfs_order(neighbors(c), start)
+
+
+def bfs_order(adj: dict[int, list[int]], start: int) -> list[int]:
+    """Vertices reachable from ``start`` in BFS order, visiting each
+    adjacency list in its stored order."""
     seen = {start}
     order = [start]
     queue = deque([start])
@@ -131,8 +136,8 @@ def induced(c: Complex, keep: Iterable[int]) -> Complex:
     """Full subcomplex on the given vertex ids."""
     keep = set(keep)
     vs = tuple(v for v in c.vertices if v.id in keep)
-    es = frozenset(e for e in c.edges if e[0] in keep and e[1] in keep)
-    ts = frozenset(t for t in c.triangles if all(i in keep for i in t))
+    es = frozenset(e for e in c.edges if keep.issuperset(e))
+    ts = frozenset(t for t in c.triangles if keep.issuperset(t))
     return Complex(vs, es, ts)
 
 
@@ -229,19 +234,11 @@ def _odd_graft_tree(farey_depth: int):
     the depth-truncated Farey ball."""
     from . import farey  # deferred: farey builds on this module
 
-    ball = farey.stern_brocot_ball(farey_depth)
-    fodd = farey.f_odd_subcomplex(ball)
-    inf_id = next(v.id for v in fodd.vertices if v.label == "1/0")
-    order = component(fodd, inf_id)
+    slopes, edges, _, _ = farey._grow(farey_depth)
+    order = farey._odd_component(slopes, edges)
     pos = {vid: j for j, vid in enumerate(order)}
-    labels = {v.id: v.label for v in fodd.vertices}
-    slots = [labels[vid] for vid in order]
-    local_edges = sorted(
-        tuple(sorted((pos[a], pos[b])))
-        for a, b in fodd.edges
-        if a in pos and b in pos
-    )
-    return slots, local_edges
+    slots = [str(slopes[vid]) for vid in order]
+    return slots, [(pos[a], pos[b]) for a, b in edges if a in pos and b in pos]
 
 
 def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):

@@ -86,76 +86,87 @@ def arc_slope(endpoint: tuple[int, int]) -> Slope:
     return slope_normalize(t, s)
 
 
+def _grow(depth: int):
+    """Grow the ball by ``depth`` rounds of mediant insertion: the slopes
+    in id order, the edge and triangle sets and the vertex count after
+    each round.  The frontier lists the boundary edges (a, b, apex); a new
+    triangle (a, b, c) replaces its edge by (a, c, b) and (b, c, a).  New
+    ids follow the sorted frontier, so ball(d) is the prefix of ids below
+    ``sizes[d]`` of every deeper ball."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    slopes = [INFINITY, Slope(0, 1), Slope(1, 1), Slope(-1, 1)]
+    seen = set(slopes)
+    edges = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
+    triangles = {(0, 1, 2), (0, 1, 3)}
+    frontier = [(0, 2, 1), (1, 2, 0), (0, 3, 1), (1, 3, 0)]
+    sizes = [len(slopes)]
+    for _ in range(depth):
+        frontier.sort()
+        grown = []
+        for a, b, apex in frontier:
+            sa, sb = slopes[a], slopes[b]
+            fresh = {
+                slope_normalize(sa.n + sb.n, sa.d + sb.d),
+                slope_normalize(sa.n - sb.n, sa.d - sb.d),
+            } - {slopes[apex]}
+            if len(fresh) != 1 or (sc := fresh.pop()) in seen:
+                raise AssertionError(f"expected one new apex on edge {sa}-{sb}")
+            c = len(slopes)
+            slopes.append(sc)
+            seen.add(sc)
+            edges.update(((a, c), (b, c)))
+            triangles.add((a, b, c))
+            grown += ((a, c, b), (b, c, a))
+        frontier = grown
+        sizes.append(len(slopes))
+    return slopes, edges, triangles, sizes
+
+
+def _odd_component(slopes: list[Slope], edges) -> list[int]:
+    """Ids of the component of 1/0 (id 0) in the odd subgraph, in BFS
+    order with neighbors visited in increasing id order."""
+    adj = {i: [] for i, s in enumerate(slopes) if is_odd_vertex(s)}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    for lst in adj.values():
+        lst.sort()
+    return complexes.bfs_order(adj, 0)
+
+
 def stern_brocot_ball(depth: int) -> Complex:
     """Finite Farey ball: starting from the two base triangles on
     {1/0, 0/1, 1/1} and {1/0, 0/1, -1/1}, perform ``depth`` rounds of
-    mediant insertion, one new triangle per boundary edge per round."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    ids: dict[Slope, int] = {}
-    slopes: list[Slope] = []
-    edges: set[tuple[int, int]] = set()
-    triangles: set[tuple[int, int, int]] = set()
-    apexes: dict[tuple[int, int], set[int]] = {}
+    mediant insertion, one new triangle per boundary edge per round.
 
-    def vid(s: Slope) -> int:
-        if s not in ids:
-            ids[s] = len(slopes)
-            slopes.append(s)
-        return ids[s]
+    Depth d has 2^(d+2) vertices, 2^(d+3) - 3 edges and 2^(d+2) - 2
+    triangles:
 
-    def add_triangle(sa: Slope, sb: Slope, sc: Slope) -> None:
-        tri = tuple(sorted((vid(sa), vid(sb), vid(sc))))
-        triangles.add(tri)
-        a, b, c = tri
-        for edge, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
-            edges.add(edge)
-            apexes.setdefault(edge, set()).add(apex)
-
-    for s in (INFINITY, Slope(0, 1), Slope(1, 1), Slope(-1, 1)):
-        vid(s)
-    add_triangle(INFINITY, Slope(0, 1), Slope(1, 1))
-    add_triangle(INFINITY, Slope(0, 1), Slope(-1, 1))
-
-    for _ in range(depth):
-        boundary = sorted(e for e in edges if len(apexes[e]) == 1)
-        for ia, ib in boundary:
-            sa, sb = slopes[ia], slopes[ib]
-            candidates = {
-                slope_normalize(sa.n + sb.n, sa.d + sb.d),
-                slope_normalize(sa.n - sb.n, sa.d - sb.d),
-            }
-            existing = {slopes[c] for c in apexes[(ia, ib)]}
-            fresh = [s for s in sorted(candidates) if s not in existing]
-            if len(fresh) != 1:
-                raise AssertionError(f"expected one new apex on edge {sa}-{sb}")
-            add_triangle(sa, sb, fresh[0])
-
-    vertices = [
+    >>> [(len(b.vertices), len(b.edges), len(b.triangles))
+    ...  for b in map(stern_brocot_ball, range(4))]
+    [(4, 5, 2), (8, 13, 6), (16, 29, 14), (32, 61, 30)]
+    """
+    slopes, edges, triangles, _ = _grow(depth)
+    vertices = tuple(
         Vertex(i, complexes.KIND_SLOPE, str(s)) for i, s in enumerate(slopes)
-    ]
-    return complexes.make_complex(vertices, edges, triangles)
+    )
+    return Complex(vertices, frozenset(edges), frozenset(triangles))
 
 
 def f_odd_subcomplex(c: Complex) -> Complex:
     """Full subcomplex on the odd-numerator vertices."""
-    keep = {
-        v.id for v in c.vertices if is_odd_vertex(slope_from_label(v.label))
-    }
+    keep = {v.id for v in c.vertices if int(v.label.partition("/")[0]) % 2}
     return complexes.induced(c, keep)
 
 
 def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
     """Every odd vertex of the depth-``depth`` ball is connected to 1/0
     inside the odd subcomplex of the depth-``depth + margin`` ball."""
-    small = stern_brocot_ball(depth)
-    odd_small = {
-        v.label
-        for v in small.vertices
-        if is_odd_vertex(slope_from_label(v.label))
-    }
-    fodd_big = f_odd_subcomplex(stern_brocot_ball(depth + margin))
-    labels = {v.id: v.label for v in fodd_big.vertices}
-    inf_id = next(v.id for v in fodd_big.vertices if v.label == "1/0")
-    reached = {labels[i] for i in complexes.component(fodd_big, inf_id)}
-    return odd_small <= reached
+    if depth < 0 or margin < 0:
+        raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
+    slopes, edges, _, sizes = _grow(depth + margin)
+    reached = set(_odd_component(slopes, edges))
+    small = range(sizes[depth])
+    return all(i in reached for i in small if is_odd_vertex(slopes[i]))

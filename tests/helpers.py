@@ -1,7 +1,7 @@
 """Shared test utilities: exhaustive word enumeration and independent
 oracles kept deliberately separate from the library implementations."""
 
-from heegaard2 import fgroup
+from heegaard2 import complexes, farey, fgroup
 
 _INV = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
 _ORDER = str.maketrans("xXyY", "abcd")
@@ -85,3 +85,93 @@ def rewrite_oracle(word, rules):
         else:
             i += 1
     return tuple(w)
+
+
+def stern_brocot_ball_oracle(depth):
+    """Farey ball by rescanning: every round sorts all edges and takes
+    those with one apex as the boundary.  The library grows the same ball
+    from a frontier and must produce identical ids, edges and triangles."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    ids = {}
+    slopes = []
+    edges = set()
+    triangles = set()
+    apexes = {}
+
+    def vid(s):
+        if s not in ids:
+            ids[s] = len(slopes)
+            slopes.append(s)
+        return ids[s]
+
+    def add_triangle(sa, sb, sc):
+        tri = tuple(sorted((vid(sa), vid(sb), vid(sc))))
+        triangles.add(tri)
+        a, b, c = tri
+        for edge, apex in (((a, b), c), ((a, c), b), ((b, c), a)):
+            edges.add(edge)
+            apexes.setdefault(edge, set()).add(apex)
+
+    base = [farey.INFINITY, farey.Slope(0, 1), farey.Slope(1, 1), farey.Slope(-1, 1)]
+    for s in base:
+        vid(s)
+    add_triangle(base[0], base[1], base[2])
+    add_triangle(base[0], base[1], base[3])
+
+    for _ in range(depth):
+        boundary = sorted(e for e in edges if len(apexes[e]) == 1)
+        for ia, ib in boundary:
+            sa, sb = slopes[ia], slopes[ib]
+            candidates = {
+                farey.slope_normalize(sa.n + sb.n, sa.d + sb.d),
+                farey.slope_normalize(sa.n - sb.n, sa.d - sb.d),
+            }
+            existing = {slopes[c] for c in apexes[(ia, ib)]}
+            fresh = [s for s in sorted(candidates) if s not in existing]
+            if len(fresh) != 1:
+                raise AssertionError(f"expected one new apex on edge {sa}-{sb}")
+            add_triangle(sa, sb, fresh[0])
+
+    vertices = [
+        complexes.Vertex(i, complexes.KIND_SLOPE, str(s)) for i, s in enumerate(slopes)
+    ]
+    return complexes.make_complex(vertices, edges, triangles)
+
+
+def odd_subcomplex_oracle(c):
+    """Full subcomplex on the vertices whose parsed slope has an odd
+    numerator."""
+    keep = {
+        v.id for v in c.vertices if farey.is_odd_vertex(farey.slope_from_label(v.label))
+    }
+    return complexes.induced(c, keep)
+
+
+def reach_oracle(depth, margin=2):
+    """Two-ball reach check: the odd vertices of the depth ball, by label,
+    all lie in the component of 1/0 in the odd subcomplex of a separately
+    built ball of depth ``depth + margin``."""
+    small = stern_brocot_ball_oracle(depth)
+    odd_small = {v.label for v in odd_subcomplex_oracle(small).vertices}
+    big = odd_subcomplex_oracle(stern_brocot_ball_oracle(depth + margin))
+    labels = {v.id: v.label for v in big.vertices}
+    inf_id = next(v.id for v in big.vertices if v.label == "1/0")
+    return odd_small <= {labels[i] for i in complexes.component(big, inf_id)}
+
+
+def odd_graft_tree_oracle(farey_depth):
+    """Graft slots and local edges from the oracle ball: the component of
+    1/0 in its odd subcomplex, in BFS order with neighbors by increasing
+    id, and its edges renumbered by BFS position."""
+    fodd = odd_subcomplex_oracle(stern_brocot_ball_oracle(farey_depth))
+    inf_id = next(v.id for v in fodd.vertices if v.label == "1/0")
+    order = complexes.component(fodd, inf_id)
+    pos = {vid: j for j, vid in enumerate(order)}
+    labels = {v.id: v.label for v in fodd.vertices}
+    local_edges = sorted(
+        tuple(sorted((pos[a], pos[b])))
+        for a, b in fodd.edges
+        if a in pos and b in pos
+    )
+    return [labels[vid] for vid in order], local_edges

@@ -1,6 +1,6 @@
 import json
 
-from heegaard2 import cli
+from heegaard2 import cli, farey
 
 
 def run(capsys, *argv):
@@ -145,6 +145,20 @@ def test_farey_check_tree_requires_odd(capsys):
     code, _, err = run(capsys, "farey", "--max-depth", "2", "--check-tree")
     assert code == 1
     assert "--odd" in err
+
+
+def test_farey_flags_checked_before_any_build(capsys, monkeypatch):
+    def no_build(depth):
+        raise AssertionError("built a ball before checking the flags")
+
+    monkeypatch.setattr(farey, "stern_brocot_ball", no_build)
+    monkeypatch.setattr(farey, "_grow", no_build)
+    code, _, err = run(capsys, "farey", "--max-depth", "3", "--check-tree")
+    assert code == 1
+    assert "--odd" in err
+    code, _, err = run(capsys, "farey", "--max-depth", "-1", "--odd", "--check-tree")
+    assert code == 1
+    assert "--max-depth" in err
 
 
 def test_farey_negative_depth(capsys):
