@@ -13,6 +13,7 @@ invariant was violated.
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from . import classify, complexes, farey, fgroup, goeritz, surgery
 
@@ -106,14 +107,9 @@ def _format_abelian(inv: goeritz.AbelianInvariants) -> str:
         parts.append("Z")
     elif inv.free_rank > 1:
         parts.append(f"Z^{inv.free_rank}")
-    i = 0
-    torsion = inv.torsion
-    while i < len(torsion):
-        j = i
-        while j < len(torsion) and torsion[j] == torsion[i]:
-            j += 1
-        parts.append(f"Z/{torsion[i]}" + (f"^{j - i}" if j - i > 1 else ""))
-        i = j
+    for n, run in groupby(inv.torsion):
+        k = len(list(run))
+        parts.append(f"Z/{n}" + (f"^{k}" if k > 1 else ""))
     return " + ".join(parts) if parts else "0"
 
 

@@ -23,8 +23,8 @@ _INVERSE = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
 _ORDER_KEY = str.maketrans("xXyY", "abcd")
 
 _SWAP_XY = str.maketrans("xXyY", "yYxX")
-_INVERT_X = str.maketrans("xX", "Xx")
-_INVERT_Y = str.maketrans("yY", "Yy")
+# The four sign changes x -> x^(+-1), y -> y^(+-1): none, y, x, both.
+_SIGN_CHANGES = tuple(str.maketrans(s, s.swapcase()) for s in ("", "yY", "xX", "xXyY"))
 
 
 def parse_word(text: str) -> str:
@@ -117,16 +117,15 @@ def cyclic_equal(w1: str, w2: str, up_to_inversion: bool = False) -> bool:
     return up_to_inversion and a == cyclic_canonical(invert(w2))
 
 
+def _sign_changes(*words: str) -> Iterator[str]:
+    return (w.translate(sign) for w in words for sign in _SIGN_CHANGES)
+
+
 def letter_symmetries(word: str) -> Iterator[str]:
     """The eight letter substitutions generated by swapping x with y and
     inverting x or y.  Each is an automorphism, so reduction, primitivity
     and cyclic length are preserved."""
-    for swap in (False, True):
-        base = word.translate(_SWAP_XY) if swap else word
-        for ix in (False, True):
-            mid = base.translate(_INVERT_X) if ix else base
-            for iy in (False, True):
-                yield mid.translate(_INVERT_Y) if iy else mid
+    return _sign_changes(word, word.translate(_SWAP_XY))
 
 
 def letter_obstruction_reason(word: str) -> str | None:
@@ -187,21 +186,18 @@ def _has_double_square(v: str) -> bool:
 def has_subword_obstruction(word: str) -> bool:
     """Subword certificate: a cyclic subword x y^p X (p >= 1) or x x y y,
     up to inverting x, inverting y, or reversing the curve orientation
-    (global inversion).
+    (global inversion).  The inverse is the reversal with both signs
+    changed, so the images are the sign changes of the word and of its
+    reversal.
 
     Stronger than :func:`has_letter_obstruction`: whenever this fires,
     the letter test fires as well.
     """
     w = cyclic_reduce(word)
-    for gi in (False, True):
-        base = invert(w) if gi else w
-        for ix in (False, True):
-            mid = base.translate(_INVERT_X) if ix else base
-            for iy in (False, True):
-                v = mid.translate(_INVERT_Y) if iy else mid
-                if _has_flanked_power(v) or _has_double_square(v):
-                    return True
-    return False
+    return any(
+        _has_flanked_power(v) or _has_double_square(v)
+        for v in _sign_changes(w, w[::-1])
+    )
 
 
 def _block_form(v: str) -> bool:

@@ -38,14 +38,19 @@ Word = tuple[str, ...]
 
 CASES = ("1a", "1b", "2")
 
-_ALPHABETS = {
-    "1a": ("a", "b", "g1", "g2"),
-    "1b": ("a", "b", "g1", "d"),
-    "2": ("a", "b", "g", "s", "t"),
-}
-
 # generators of order two; b and t have infinite order
 _INVOLUTIONS = frozenset({"a", "g", "g1", "g2", "d", "s"})
+# generators central in every group that contains them
+_CENTRAL = frozenset({"a", "t"})
+# the relation d b d = a b of the symmetric splitting, as a relator
+_HALF_TWIST = ("d", "b", "d", "b'", "a'")
+
+
+def _lookup(table: Mapping, key: str, names: tuple = CASES, kind: str = "case"):
+    """The entry of a table keyed by ``names``; an unknown key is a ValueError."""
+    if key not in names:
+        raise ValueError(f"unknown {kind} {key!r}; expected one of {names}")
+    return table[key]
 
 
 def _base(token: str) -> str:
@@ -73,21 +78,6 @@ def parse_tokens(text: str, case: str | None = None) -> Word:
 
 def format_tokens(word: Word) -> str:
     return " ".join(word) if word else "1"
-
-
-_ALLOWED_TOKENS = {c: frozenset(a + invert_word(a)) for c, a in _ALPHABETS.items()}
-
-
-def _check_alphabet(word: Word, case: str) -> None:
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    allowed = _ALLOWED_TOKENS[case]
-    for tok in word:
-        if tok not in allowed:
-            raise ValueError(
-                f"token {tok!r} is not over the case-{case} alphabet "
-                f"{_ALPHABETS[case]}"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,30 +120,42 @@ def presentation_json(p: Presentation) -> dict:
     }
 
 
+def _presentation(*gens: str) -> Presentation:
+    """The presentation on ``gens``: the square of each involution in
+    generator order, then the half twist when d is present; a and t are
+    central."""
+    relators = [(g, g) for g in gens if g in _INVOLUTIONS]
+    if "d" in gens:
+        relators.append(_HALF_TWIST)
+    return Presentation(gens, tuple(relators), tuple(g for g in gens if g in _CENTRAL))
+
+
 _GOERITZ = {
-    "1a": Presentation(
-        ("a", "b", "g1", "g2"),
-        (("a", "a"), ("g1", "g1"), ("g2", "g2")),
-        ("a",),
-    ),
-    "1b": Presentation(
-        ("a", "b", "g1", "d"),
-        (("a", "a"), ("g1", "g1"), ("d", "d"), ("d", "b", "d", "b'", "a'")),
-        ("a",),
-    ),
-    "2": Presentation(
-        ("a", "b", "g", "s", "t"),
-        (("a", "a"), ("g", "g"), ("s", "s")),
-        ("a", "t"),
-    ),
+    "1a": _presentation("a", "b", "g1", "g2"),
+    "1b": _presentation("a", "b", "g1", "d"),
+    "2": _presentation("a", "b", "g", "s", "t"),
 }
+_ALPHABETS = {case: p.generators for case, p in _GOERITZ.items()}
+_ALLOWED_TOKENS = {c: frozenset(a + invert_word(a)) for c, a in _ALPHABETS.items()}
+
+
+def _check_alphabet(word: Word, case: str) -> None:
+    allowed = _lookup(_ALLOWED_TOKENS, case)
+    for tok in word:
+        if tok not in allowed:
+            raise ValueError(
+                f"token {tok!r} is not over the case-{case} alphabet "
+                f"{_ALPHABETS[case]}"
+            )
 
 
 def goeritz_presentation(case: str) -> Presentation:
-    """The Goeritz-group presentation for the given case."""
-    if case not in _GOERITZ:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    return _GOERITZ[case]
+    """The Goeritz-group presentation for the given case.
+
+    >>> print(presentation_text(goeritz_presentation("1b")))
+    < a, b, g1, d | a^2, g1^2, d^2, d b d b' a' >  central: a
+    """
+    return _lookup(_GOERITZ, case)
 
 
 STABILIZERS = (
@@ -165,6 +167,21 @@ STABILIZERS = (
     "disk_pair",  # an unordered disk pair
 )
 
+# generators of each stabilizer in cases 1a, 1b and 2; the lens cases differ
+# only in the unordered disk pair, which carries the half twist d if symmetric
+_STABILIZER_GENERATORS = {
+    "disk_sphere": (("a", "b"), ("a", "b"), ("a", "b", "t")),
+    "disk_sphere_sphere": (("a",), ("a",), ("a", "t")),
+    "disk_sphere_pair": (("a", "g1"), ("a", "g1"), ("a", "g", "t")),
+    "disk": (("a", "b", "g1"), ("a", "b", "g1"), ("a", "b", "g", "t")),
+    "disk_disk": (("a", "b"), ("a", "b"), ("a", "t")),
+    "disk_pair": (("a", "b"), ("a", "b", "d"), ("a", "s", "t")),
+}
+_STABILIZERS = {
+    case: {w: _presentation(*g[i]) for w, g in _STABILIZER_GENERATORS.items()}
+    for i, case in enumerate(CASES)
+}
+
 
 def stabilizer_presentation(which: str, case: str) -> Presentation:
     """Presentation of a stabilizer subgroup of the Goeritz group.
@@ -173,48 +190,7 @@ def stabilizer_presentation(which: str, case: str) -> Presentation:
     case determines whether the central twist t is present and whether
     the unordered disk pair carries the half-twist relation d b d = a b.
     """
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    if case in ("1a", "1b"):
-        table = {
-            "disk_sphere": Presentation(("a", "b"), (("a", "a"),), ("a",)),
-            "disk_sphere_sphere": Presentation(("a",), (("a", "a"),), ("a",)),
-            "disk_sphere_pair": Presentation(
-                ("a", "g1"), (("a", "a"), ("g1", "g1")), ("a",)
-            ),
-            "disk": Presentation(
-                ("a", "b", "g1"), (("a", "a"), ("g1", "g1")), ("a",)
-            ),
-            "disk_disk": Presentation(("a", "b"), (("a", "a"),), ("a",)),
-        }
-        if case == "1a":
-            table["disk_pair"] = Presentation(("a", "b"), (("a", "a"),), ("a",))
-        else:
-            table["disk_pair"] = Presentation(
-                ("a", "b", "d"),
-                (("a", "a"), ("d", "d"), ("d", "b", "d", "b'", "a'")),
-                ("a",),
-            )
-    else:
-        table = {
-            "disk_sphere": Presentation(("a", "b", "t"), (("a", "a"),), ("a", "t")),
-            "disk_sphere_sphere": Presentation(("a", "t"), (("a", "a"),), ("a", "t")),
-            "disk_sphere_pair": Presentation(
-                ("a", "g", "t"), (("a", "a"), ("g", "g")), ("a", "t")
-            ),
-            "disk": Presentation(
-                ("a", "b", "g", "t"), (("a", "a"), ("g", "g")), ("a", "t")
-            ),
-            "disk_disk": Presentation(("a", "t"), (("a", "a"),), ("a", "t")),
-            "disk_pair": Presentation(
-                ("a", "s", "t"), (("a", "a"), ("s", "s")), ("a", "t")
-            ),
-        }
-    if which not in table:
-        raise ValueError(
-            f"unknown stabilizer {which!r}; expected one of {STABILIZERS}"
-        )
-    return table[which]
+    return _lookup(_lookup(_STABILIZERS, case), which, STABILIZERS, "stabilizer")
 
 
 def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
@@ -301,20 +277,13 @@ def amalgam_assemble(data: AmalgamData) -> Presentation:
 def case_amalgam(case: str) -> AmalgamData:
     """The amalgam that assembles the Goeritz group of the given case
     from disk stabilizers over their common subgroup."""
+    stabilizer = _lookup(_STABILIZERS, case)
+    vertex_a = stabilizer["disk"]
     if case == "1a":
-        vertex_a = stabilizer_presentation("disk", "1a")
         vertex_b = rename_generators(vertex_a, {"g1": "g2"})
-        edge = stabilizer_presentation("disk_sphere", "1a")
-    elif case == "1b":
-        vertex_a = stabilizer_presentation("disk", "1b")
-        vertex_b = stabilizer_presentation("disk_pair", "1b")
-        edge = stabilizer_presentation("disk_sphere", "1b")
-    elif case == "2":
-        vertex_a = stabilizer_presentation("disk", "2")
-        vertex_b = stabilizer_presentation("disk_pair", "2")
-        edge = stabilizer_presentation("disk_disk", "2")
     else:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+        vertex_b = stabilizer["disk_pair"]
+    edge = stabilizer["disk_disk" if case == "2" else "disk_sphere"]
     identity = {c: (c,) for c in edge.generators}
     return AmalgamData(vertex_a, vertex_b, edge, identity, identity)
 
@@ -368,9 +337,7 @@ _SYSTEMS = {case: _build_rules(case) for case in CASES}
 
 def rewrite_system(case: str) -> RewriteSystem:
     """The shipped confluent rewriting system for the case."""
-    if case not in _SYSTEMS:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    return _SYSTEMS[case]
+    return _lookup(_SYSTEMS, case)
 
 
 def termination_measure(word: Word) -> tuple[int, int, int, int, int]:
@@ -561,8 +528,9 @@ def element_order(case: str, word: Word, cutoff: int = 64) -> int | None:
     nf = normal_form(case, word)
     if not nf:
         return 1
+    index = rewrite_system(case)._index
     power: list[str] = []
     for k in range(1, cutoff + 1):
-        if not _push(power, nf, rewrite_system(case)._index):
+        if not _push(power, nf, index):
             return k
     return None

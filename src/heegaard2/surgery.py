@@ -10,15 +10,16 @@ power of the primitive element x^p2 y.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import fgroup
+from .classify import Lens
 
 
 @dataclass(frozen=True)
 class SplittingParams:
     """Coprime lens parameters (p1, q1) and (p2, q2), with p >= 2 and
-    1 <= q < p on each side."""
+    1 <= q < p on each side; each side is validated as a
+    :class:`classify.Lens`."""
 
     p1: int
     q1: int
@@ -26,13 +27,11 @@ class SplittingParams:
     q2: int = 1
 
     def __post_init__(self):
-        for p, q, side in ((self.p1, self.q1, 1), (self.p2, self.q2, 2)):
-            if p < 2:
-                raise ValueError(f"p{side} must be at least 2, got {p}")
-            if not 1 <= q < p:
-                raise ValueError(f"require 1 <= q{side} < p{side}, got q{side}={q}")
-            if gcd(p, q) != 1:
-                raise ValueError(f"p{side}={p} and q{side}={q} are not coprime")
+        for side, (p, q) in enumerate(((self.p1, self.q1), (self.p2, self.q2)), 1):
+            try:
+                Lens(p, q)
+            except ValueError as err:
+                raise ValueError(f"summand {side}: {err}") from None
 
 
 def gap_pattern(params: SplittingParams, i: int) -> tuple[int, ...]:

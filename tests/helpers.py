@@ -2,6 +2,7 @@
 oracles kept deliberately separate from the library implementations."""
 
 from heegaard2 import complexes, farey, fgroup
+from heegaard2.goeritz import Presentation
 
 _INV = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
 _ORDER = str.maketrans("xXyY", "abcd")
@@ -42,6 +43,65 @@ def tuple_rotation_equal(t1, t2):
         return True
     doubled = t1 + t1
     return any(doubled[i : i + len(t1)] == t2 for i in range(len(t1)))
+
+
+# The Goeritz-group and stabilizer presentations written out by hand, as
+# given with the paper's amalgam decomposition.  The library derives them
+# from one generator vocabulary and must reproduce them exactly.
+GOERITZ_REFERENCE = {
+    "1a": Presentation(
+        ("a", "b", "g1", "g2"),
+        (("a", "a"), ("g1", "g1"), ("g2", "g2")),
+        ("a",),
+    ),
+    "1b": Presentation(
+        ("a", "b", "g1", "d"),
+        (("a", "a"), ("g1", "g1"), ("d", "d"), ("d", "b", "d", "b'", "a'")),
+        ("a",),
+    ),
+    "2": Presentation(
+        ("a", "b", "g", "s", "t"),
+        (("a", "a"), ("g", "g"), ("s", "s")),
+        ("a", "t"),
+    ),
+}
+
+_LENS_STABILIZER_REFERENCE = {
+    "disk_sphere": Presentation(("a", "b"), (("a", "a"),), ("a",)),
+    "disk_sphere_sphere": Presentation(("a",), (("a", "a"),), ("a",)),
+    "disk_sphere_pair": Presentation(("a", "g1"), (("a", "a"), ("g1", "g1")), ("a",)),
+    "disk": Presentation(("a", "b", "g1"), (("a", "a"), ("g1", "g1")), ("a",)),
+    "disk_disk": Presentation(("a", "b"), (("a", "a"),), ("a",)),
+}
+
+STABILIZER_REFERENCE = {
+    "1a": {
+        **_LENS_STABILIZER_REFERENCE,
+        "disk_pair": Presentation(("a", "b"), (("a", "a"),), ("a",)),
+    },
+    "1b": {
+        **_LENS_STABILIZER_REFERENCE,
+        "disk_pair": Presentation(
+            ("a", "b", "d"),
+            (("a", "a"), ("d", "d"), ("d", "b", "d", "b'", "a'")),
+            ("a",),
+        ),
+    },
+    "2": {
+        "disk_sphere": Presentation(("a", "b", "t"), (("a", "a"),), ("a", "t")),
+        "disk_sphere_sphere": Presentation(("a", "t"), (("a", "a"),), ("a", "t")),
+        "disk_sphere_pair": Presentation(
+            ("a", "g", "t"), (("a", "a"), ("g", "g")), ("a", "t")
+        ),
+        "disk": Presentation(
+            ("a", "b", "g", "t"), (("a", "a"), ("g", "g")), ("a", "t")
+        ),
+        "disk_disk": Presentation(("a", "t"), (("a", "a"),), ("a", "t")),
+        "disk_pair": Presentation(
+            ("a", "s", "t"), (("a", "a"), ("s", "s")), ("a", "t")
+        ),
+    },
+}
 
 
 def goeritz_random_word(rng, case, max_len=30):

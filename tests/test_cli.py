@@ -1,6 +1,6 @@
 import json
 
-from heegaard2 import cli, farey
+from heegaard2 import cli, farey, goeritz
 
 
 def run(capsys, *argv):
@@ -125,6 +125,17 @@ def test_goeritz_abelianization(capsys):
     code, out, _ = run(capsys, "goeritz", "--case", "1b", "--abelianization")
     assert code == 0
     assert out.strip() == "Z + Z/2^2"
+    code, out, _ = run(capsys, "goeritz", "--case", "1a", "--abelianization")
+    assert code == 0
+    assert out.strip() == "Z + Z/2^3"
+
+
+def test_format_abelian_runs():
+    fmt = cli._format_abelian
+    assert fmt(goeritz.AbelianInvariants((), 0)) == "0"
+    assert fmt(goeritz.AbelianInvariants((), 1)) == "Z"
+    assert fmt(goeritz.AbelianInvariants((2, 2, 6), 0)) == "Z/2^2 + Z/6"
+    assert fmt(goeritz.AbelianInvariants((2, 4, 4, 4), 3)) == "Z^3 + Z/2 + Z/4^3"
 
 
 def test_goeritz_alien_token(capsys):

@@ -102,6 +102,21 @@ def test_subword_obstruction_symmetries():
     assert fgroup.has_subword_obstruction("YYXX")
 
 
+def test_letter_symmetries_order():
+    assert list(fgroup.letter_symmetries("xxyX")) == [
+        "xxyX", "xxYX", "XXyx", "XXYx", "yyxY", "YYxy", "yyXY", "YYXy",
+    ]
+
+
+def test_subword_obstruction_invariant_under_inversion_and_signs():
+    flips = [str.maketrans(f, f.swapcase()) for f in ("xX", "yY", "xXyY")]
+    for w in cyclically_reduced_words(8):
+        value = fgroup.has_subword_obstruction(w)
+        assert fgroup.has_subword_obstruction(fgroup.invert(w)) == value, w
+        for flip in flips:
+            assert fgroup.has_subword_obstruction(w.translate(flip)) == value, w
+
+
 def test_subword_implies_letter_obstruction():
     for w in cyclically_reduced_words(8):
         if fgroup.has_subword_obstruction(w):

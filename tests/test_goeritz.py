@@ -5,6 +5,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from heegaard2 import goeritz
+from helpers import GOERITZ_REFERENCE, STABILIZER_REFERENCE
 from helpers import goeritz_insertion_words as insertion_words
 from helpers import goeritz_random_word as random_word
 
@@ -44,6 +45,33 @@ def test_goeritz_presentations():
 
     with pytest.raises(ValueError):
         goeritz.goeritz_presentation("3")
+
+
+def test_presentations_equal_literal_reference():
+    # dataclass equality: generators, relators in order, central generators
+    for case in goeritz.CASES:
+        assert goeritz.goeritz_presentation(case) == GOERITZ_REFERENCE[case]
+        assert set(STABILIZER_REFERENCE[case]) == set(goeritz.STABILIZERS)
+        for which in goeritz.STABILIZERS:
+            got = goeritz.stabilizer_presentation(which, case)
+            assert got == STABILIZER_REFERENCE[case][which], (which, case)
+
+
+def test_unknown_case_message():
+    calls = (
+        goeritz.goeritz_presentation,
+        lambda c: goeritz.stabilizer_presentation("disk", c),
+        goeritz.case_amalgam,
+        goeritz.rewrite_system,
+        lambda c: goeritz.normal_form(c, ("a",)),
+        lambda c: goeritz.parse_tokens("a", c),
+        lambda c: goeritz.element_order(c, ("a",)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown case '3'; expected one of"):
+            call("3")
+    with pytest.raises(ValueError, match=r"^unknown stabilizer 'zz'; expected one of"):
+        goeritz.stabilizer_presentation("zz", "1a")
 
 
 def test_presentation_text_and_json():

@@ -27,6 +27,13 @@ def test_params_validation():
         surgery.SplittingParams(3, 1, 2, 0)
 
 
+def test_params_error_names_the_side():
+    with pytest.raises(ValueError, match=r"^summand 2: .*not coprime"):
+        surgery.SplittingParams(3, 1, 4, 2)
+    with pytest.raises(ValueError, match=r"^summand 1: p must be at least 2"):
+        surgery.SplittingParams(1, 1, 2, 1)
+
+
 def test_gap_pattern_examples():
     assert surgery.gap_pattern(surgery.SplittingParams(3, 1, 2), 2) == (1, 2)
     assert surgery.gap_pattern(surgery.SplittingParams(5, 2, 2), 3) == (2, 2, 1)
