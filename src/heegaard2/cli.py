@@ -7,7 +7,8 @@ Subcommands mirror the library: ``words`` (surgery word sequences),
 and cone models).
 
 Exit codes: 0 success, 1 usage or validation error, 2 a verified
-invariant was violated.
+invariant was violated (a check answered false, or the library raised
+anything but ``ValueError``, reported on one ``error:`` line).
 """
 
 import argparse
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}:", *str(exc).split(), file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -10,7 +10,7 @@ operation here is pure.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 KIND_BLACK = "black"  # disk vertices of the subdivided tree
 KIND_WHITE = "white"  # sphere vertices (valence 2 inside, 1 on the boundary)
@@ -20,8 +20,7 @@ KIND_SLOPE = "slope"  # slope vertices of Farey-derived complexes
 KINDS = (KIND_BLACK, KIND_WHITE, KIND_APEX, KIND_SLOPE)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     kind: str
     label: str
@@ -34,13 +33,13 @@ class Complex:
     triangles: frozenset[tuple[int, int, int]] = frozenset()
 
     def __post_init__(self):
-        ids = [v.id for v in self.vertices]
+        ids, kinds, _ = zip(*self.vertices) if self.vertices else ((), (), ())
         idset = set(ids)
         if len(ids) != len(idset):
             raise ValueError("duplicate vertex ids")
-        for v in self.vertices:
-            if v.kind not in KINDS:
-                raise ValueError(f"unknown vertex kind {v.kind!r}")
+        if unknown := set(kinds).difference(KINDS):
+            kind = next(k for k in kinds if k in unknown)
+            raise ValueError(f"unknown vertex kind {kind!r}")
         for a, b in self.edges:
             if not (a < b) or a not in idset or b not in idset:
                 raise ValueError(f"bad edge ({a}, {b})")
@@ -189,43 +188,25 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
         raise ValueError("black_count and whites_per_black must be positive")
     vertices: list[Vertex] = []
     edges: set[tuple[int, int]] = set()
-    free_whites: deque[int] = deque()
-    black_total = 0
-    white_total = 0
-
-    def new_black() -> int:
-        nonlocal black_total
-        vid = len(vertices)
-        vertices.append(Vertex(vid, KIND_BLACK, f"disk{black_total}"))
-        black_total += 1
-        return vid
-
-    def new_white() -> int:
-        nonlocal white_total
-        vid = len(vertices)
-        vertices.append(Vertex(vid, KIND_WHITE, f"sphere{white_total}"))
-        white_total += 1
-        return vid
-
-    root = new_black()
-    for _ in range(whites_per_black):
-        w = new_white()
-        edges.add((root, w))
-        free_whites.append(w)
-    while black_total < black_count:
+    free_whites: deque[int | None] = deque([None])  # None: the root joins no white
+    blacks = 0
+    while blacks < black_count:
         if not free_whites:
             raise ValueError(
                 "cannot grow the tree: no valence-one white left "
                 "(whites_per_black too small for black_count)"
             )
         w = free_whites.popleft()
-        b = new_black()
-        edges.add(tuple(sorted((w, b))))
-        for _ in range(whites_per_black - 1):
-            w2 = new_white()
+        b = len(vertices)
+        vertices.append(Vertex(b, KIND_BLACK, f"disk{blacks}"))
+        blacks += 1
+        if w is not None:
+            edges.add((w, b))
+        for w2 in range(b + 1, b + 1 + whites_per_black - (w is not None)):
+            vertices.append(Vertex(w2, KIND_WHITE, f"sphere{w2 - blacks}"))
             edges.add((b, w2))
             free_whites.append(w2)
-    return make_complex(vertices, edges)
+    return Complex(tuple(vertices), frozenset(edges))
 
 
 def _odd_graft_tree(farey_depth: int):
@@ -249,14 +230,10 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
             f"whites_per_black={whites_per_black} exceeds the "
             f"{len(slots)} slots of the depth-{farey_depth} odd subtree"
         )
-    vertices: list[Vertex] = []
+    whites = [v for v in sp.vertices if v.kind == KIND_WHITE]
+    white_ids = {v.id: j for j, v in enumerate(whites)}
+    vertices = [Vertex(j, KIND_WHITE, v.label) for j, v in enumerate(whites)]
     edges: set[tuple[int, int]] = set()
-    white_ids: dict[int, int] = {}
-    for v in sp.vertices:
-        if v.kind == KIND_WHITE:
-            nid = len(vertices)
-            white_ids[v.id] = nid
-            vertices.append(Vertex(nid, KIND_WHITE, v.label))
     adj = neighbors(sp)
     graft: dict[str, list[int]] = {}
     for v in sp.vertices:
@@ -268,9 +245,10 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
             vertices.append(Vertex(nid, KIND_SLOPE, f"{v.label}:{slots[j]}"))
             copy.append(nid)
         for ja, jb in local_edges:
-            edges.add(tuple(sorted((copy[ja], copy[jb]))))
+            a, b = copy[ja], copy[jb]
+            edges.add((a, b) if a < b else (b, a))
         graft[v.label] = copy
-    return make_complex(vertices, edges), graft
+    return Complex(tuple(vertices), frozenset(edges)), graft
 
 
 def haken_complex_model(
@@ -301,14 +279,13 @@ def sp_cone_model(base_size: int) -> Complex:
     edge spans a triangle with the apex."""
     if base_size < 1:
         raise ValueError("base_size must be positive")
-    vertices = [Vertex(0, KIND_APEX, "reducing-disk")]
-    vertices += [
+    vertices = (Vertex(0, KIND_APEX, "reducing-disk"),) + tuple(
         Vertex(i, KIND_BLACK, f"disk{i - 1}") for i in range(1, base_size + 1)
-    ]
+    )
     edges = {(0, i) for i in range(1, base_size + 1)}
     edges |= {(i, i + 1) for i in range(1, base_size)}
-    triangles = {(0, i, i + 1) for i in range(1, base_size)}
-    return make_complex(vertices, edges, triangles)
+    triangles = frozenset((0, i, i + 1) for i in range(1, base_size))
+    return Complex(vertices, frozenset(edges), triangles)
 
 
 def cone_check(c: Complex) -> bool:

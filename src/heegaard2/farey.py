@@ -8,8 +8,9 @@ mediant insertion from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 
 The odd subcomplex keeps only vertices with odd numerator.  It carries
 no triangles (the mediant of two odd numerators is even) and its balls
-are forests; connectivity of a ball to 1/0 is checked inside a slightly
-deeper ball because geodesics may leave a truncation.
+are forests.  Their connectivity to 1/0 is checked inside the ball
+itself, where every odd vertex has an odd parent; a slightly deeper ball
+is only a fallback.
 """
 
 from math import gcd
@@ -31,6 +32,7 @@ class Slope(NamedTuple):
 
 
 INFINITY = Slope(1, 0)
+_BASE = (INFINITY, Slope(0, 1), Slope(1, 1), Slope(-1, 1))
 
 
 def slope_normalize(n: int, d: int) -> Slope:
@@ -86,16 +88,27 @@ def arc_slope(endpoint: tuple[int, int]) -> Slope:
     return slope_normalize(t, s)
 
 
+def _mediants(a: Slope, b: Slope) -> tuple[Slope, Slope]:
+    """The candidate apexes a + b and a - b over the Farey-adjacent edge
+    a-b: a common divisor would divide the determinant +-1, so both are
+    reduced and only the sign of a - b is normalized."""
+    n, d = a.n - b.n, a.d - b.d
+    m = Slope(-n, -d) if d < 0 else Slope(n, d) if d else INFINITY
+    return Slope(a.n + b.n, a.d + b.d), m
+
+
 def _grow(depth: int):
     """Grow the ball by ``depth`` rounds of mediant insertion: the slopes
     in id order, the edge and triangle sets and the vertex count after
     each round.  The frontier lists the boundary edges (a, b, apex); a new
     triangle (a, b, c) replaces its edge by (a, c, b) and (b, c, a).  New
     ids follow the sorted frontier, so ball(d) is the prefix of ids below
-    ``sizes[d]`` of every deeper ball."""
+    ``sizes[d]`` of every deeper ball.  Every frontier edge must be
+    Farey-adjacent, and exactly one of its candidates a + b, a - b must
+    differ from its apex and be new."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    slopes = [INFINITY, Slope(0, 1), Slope(1, 1), Slope(-1, 1)]
+    slopes = list(_BASE)
     seen = set(slopes)
     edges = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
     triangles = {(0, 1, 2), (0, 1, 3)}
@@ -105,12 +118,11 @@ def _grow(depth: int):
         frontier.sort()
         grown = []
         for a, b, apex in frontier:
-            sa, sb = slopes[a], slopes[b]
-            fresh = {
-                slope_normalize(sa.n + sb.n, sa.d + sb.d),
-                slope_normalize(sa.n - sb.n, sa.d - sb.d),
-            } - {slopes[apex]}
-            if len(fresh) != 1 or (sc := fresh.pop()) in seen:
+            sa, sb, sx = slopes[a], slopes[b], slopes[apex]
+            p, m = _mediants(sa, sb)
+            sc = m if p == sx else p
+            det = sa.n * sb.d - sb.n * sa.d
+            if det not in (1, -1) or (p == sx) == (m == sx) or sc in seen:
                 raise AssertionError(f"expected one new apex on edge {sa}-{sb}")
             c = len(slopes)
             slopes.append(sc)
@@ -163,10 +175,17 @@ def f_odd_subcomplex(c: Complex) -> Complex:
 
 def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
     """Every odd vertex of the depth-``depth`` ball is connected to 1/0
-    inside the odd subcomplex of the depth-``depth + margin`` ball."""
+    inside the odd subcomplex of the depth-``depth + margin`` ball.  The
+    ball is the id prefix of the deeper one, which is built only when the
+    search in the ball fails.  It never does on a correct build: every odd
+    vertex but 1/0 has an odd neighbor with a smaller id (1/0 for +-1/1;
+    for a grown a +- b, its odd-numerator parent)."""
     if depth < 0 or margin < 0:
         raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
-    slopes, edges, _, sizes = _grow(depth + margin)
-    reached = set(_odd_component(slopes, edges))
-    small = range(sizes[depth])
-    return all(i in reached for i in small if is_odd_vertex(slopes[i]))
+    for d in sorted({depth, depth + margin}):
+        slopes, edges, _, sizes = _grow(d)
+        reached = set(_odd_component(slopes, edges))
+        small = range(sizes[depth])
+        if all(i in reached for i in small if is_odd_vertex(slopes[i])):
+            return True
+    return False

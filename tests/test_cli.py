@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heegaard2 import cli, farey, goeritz
 
 
@@ -170,6 +172,25 @@ def test_farey_flags_checked_before_any_build(capsys, monkeypatch):
     code, _, err = run(capsys, "farey", "--max-depth", "-1", "--odd", "--check-tree")
     assert code == 1
     assert "--max-depth" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["farey", "--max-depth", "2"],
+        ["farey", "--max-depth", "2", "--odd", "--check-tree"],
+        ["sphere-complex", "--blacks", "2", "--whites-per-black", "2", "--farey-depth", "2"],
+    ],
+)
+def test_internal_error_exits_2_with_one_line(capsys, monkeypatch, argv):
+    def broken(depth):
+        raise AssertionError("expected one new apex on edge 1/0-1/1\nsecond line")
+
+    monkeypatch.setattr(farey, "_grow", broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: AssertionError: expected one new apex on edge 1/0-1/1 second line\n"
 
 
 def test_farey_negative_depth(capsys):

@@ -9,18 +9,29 @@ def kinds(cpx):
 
 
 def test_complex_validation():
-    with pytest.raises(ValueError):
-        complexes.Complex((Vertex(0, KIND_BLACK, "a"), Vertex(0, KIND_WHITE, "b")), frozenset())
-    with pytest.raises(ValueError):
-        complexes.Complex((Vertex(0, KIND_BLACK, "a"),), frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
+    black = Vertex(0, KIND_BLACK, "a")
+    assert complexes.Complex((), frozenset()).vertices == ()
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        complexes.Complex((black, Vertex(0, KIND_WHITE, "b")), frozenset())
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        complexes.Complex((black, Vertex(0, "purple", "b")), frozenset())
+    with pytest.raises(ValueError, match=r"bad edge \(0, 1\)"):
+        complexes.Complex((black,), frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match=r"bad edge \(1, 0\)"):
+        complexes.Complex((black, Vertex(1, KIND_BLACK, "b")), frozenset({(1, 0)}))
+    three = tuple(Vertex(i, KIND_BLACK, "abc"[i]) for i in range(3))
+    with pytest.raises(ValueError, match="missing edge"):
+        complexes.Complex(three, frozenset({(0, 1), (1, 2)}), frozenset({(0, 1, 2)}))
+    with pytest.raises(ValueError, match="bad triangle"):
         complexes.Complex(
-            (Vertex(0, KIND_BLACK, "a"), Vertex(1, KIND_BLACK, "b"), Vertex(2, KIND_BLACK, "c")),
-            frozenset({(0, 1), (1, 2)}),
-            frozenset({(0, 1, 2)}),
+            three, frozenset({(0, 1), (0, 2), (1, 2)}), frozenset({(0, 2, 1)})
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown vertex kind 'purple'"):
         complexes.Complex((Vertex(0, "purple", "a"),), frozenset())
+    with pytest.raises(ValueError, match="unknown vertex kind 'purple'"):
+        complexes.Complex(
+            (black, Vertex(1, "purple", "b"), Vertex(2, "mauve", "c")), frozenset()
+        )
 
 
 def test_make_complex_normalizes():
@@ -184,9 +195,12 @@ def test_json_round_trip():
         complexes.sp_tree_model(2, 3),
         complexes.sp_cone_model(4),
         farey.stern_brocot_ball(2),
+        complexes.haken_complex_model(6, 3, 4),
     ):
         data = complexes.to_json(cpx)
-        assert complexes.from_json(data) == cpx
+        back = complexes.from_json(data)
+        assert back == cpx
+        assert all(type(v) is Vertex for v in back.vertices)
         assert isinstance(data["edges"], list)
 
 

@@ -71,10 +71,11 @@ def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     # the verdict is true at every depth, so cut the last odd vertex of the
     # depth-2 ball off the grown ball and expect it to be missed
     grow = farey._grow
+    slopes, _, _, sizes = grow(2)
+    lost = max(i for i in range(sizes[2]) if farey.is_odd_vertex(slopes[i]))
 
     def cut(depth):
         slopes, edges, triangles, sizes = grow(depth)
-        lost = max(i for i in range(sizes[2]) if farey.is_odd_vertex(slopes[i]))
         return slopes, {e for e in edges if lost not in e}, triangles, sizes
 
     monkeypatch.setattr(farey, "_grow", cut)
@@ -94,19 +95,62 @@ def test_reach_rejects_negative_depth():
 
 
 @pytest.mark.parametrize(
-    "collapsed",
-    [farey.Slope(1, 1), farey.Slope(0, 1)],
-    ids=["repeats-a-vertex", "no-new-apex"],
+    "wrong, collapsed",
+    [
+        (farey.Slope(2, 1), farey.Slope(1, 1)),
+        (farey.Slope(2, 1), farey.Slope(0, 1)),
+        (farey.Slope(0, 1), farey.Slope(5, 1)),
+    ],
+    ids=["repeats-a-vertex", "no-new-apex", "two-new-apexes"],
 )
-def test_grow_rejects_an_apex_that_is_not_fresh(monkeypatch, collapsed):
-    # the edge 1/0 - 1/1 (apex 0/1) would grow 2/1; mapping 2/1 onto 1/1
-    # offers one candidate that is already a vertex, onto 0/1 none at all
-    normalize = farey.slope_normalize
+def test_grow_rejects_an_apex_that_is_not_fresh(monkeypatch, wrong, collapsed):
+    # the first edge 1/0 - 1/1 (apex 0/1) offers 2/1 and 0/1; mapping 2/1
+    # onto 1/1 offers one candidate that is already a vertex, onto 0/1 none
+    # at all, and mapping 0/1 onto 5/1 offers two new candidates
+    mediants = farey._mediants
 
-    def collapse(n, d):
-        s = normalize(n, d)
-        return collapsed if s == farey.Slope(2, 1) else s
+    def collapse(a, b):
+        return tuple(collapsed if s == wrong else s for s in mediants(a, b))
 
-    monkeypatch.setattr(farey, "slope_normalize", collapse)
+    monkeypatch.setattr(farey, "_mediants", collapse)
     with pytest.raises(AssertionError, match="one new apex"):
         farey.stern_brocot_ball(1)
+
+
+def test_grow_rejects_an_edge_that_is_not_adjacent(monkeypatch):
+    # base slopes scaled to determinant 2: the edge 1/0 - 1/2 (apex 0/2)
+    # offers 2/2 as its one new apex, so only the adjacency check fails
+    base = (farey.Slope(1, 0), farey.Slope(0, 2), farey.Slope(1, 2), farey.Slope(-1, 2))
+    monkeypatch.setattr(farey, "_BASE", base)
+    farey.stern_brocot_ball(0)
+    with pytest.raises(AssertionError, match="one new apex on edge 1/0-1/2"):
+        farey.stern_brocot_ball(1)
+
+
+def _recording_grow(monkeypatch, damage=lambda edges: edges):
+    calls = []
+    grow = farey._grow
+
+    def recorded(depth):
+        calls.append(depth)
+        slopes, edges, triangles, sizes = grow(depth)
+        return slopes, damage(edges) if len(calls) == 1 else edges, triangles, sizes
+
+    monkeypatch.setattr(farey, "_grow", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("depth, margin", [(0, 2), (3, 1), (5, 0)])
+def test_reach_builds_one_ball_when_it_passes(monkeypatch, depth, margin):
+    calls = _recording_grow(monkeypatch)
+    assert farey.odd_vertices_reach_infinity(depth, margin)
+    assert calls == [depth]
+
+
+@pytest.mark.parametrize("depth, margin", [(2, 2), (4, 1)])
+def test_reach_falls_back_to_the_deeper_ball(monkeypatch, depth, margin):
+    # cut the first build's edges at 1/0: its search fails, the deeper
+    # (intact) build passes
+    calls = _recording_grow(monkeypatch, lambda edges: {e for e in edges if 0 not in e})
+    assert farey.odd_vertices_reach_infinity(depth, margin)
+    assert calls == [depth, depth + margin]
