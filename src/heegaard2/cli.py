@@ -150,11 +150,12 @@ def _cmd_farey(args) -> int:
         raise ValueError("--max-depth must be non-negative")
     if args.check_tree and not args.odd:
         raise ValueError("--check-tree requires --odd")
-    ball = farey.stern_brocot_ball(args.max_depth)
+    build = farey._grow(args.max_depth)  # one build for the ball and both checks
+    ball = farey._ball(build)
     cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
     if args.check_tree:
         forest_ok = complexes.is_forest(cpx)
-        reach_ok = farey.odd_vertices_reach_infinity(args.max_depth)
+        reach_ok = farey._reaches(build, margin=2)
         print(f"forest: {_bool(forest_ok)}")
         print(f"connected to 1/0 within depth+2: {_bool(reach_ok)}")
         return 0 if forest_ok and reach_ok else 2

@@ -10,7 +10,9 @@ operation here is pure.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 KIND_BLACK = "black"  # disk vertices of the subdivided tree
 KIND_WHITE = "white"  # sphere vertices (valence 2 inside, 1 on the boundary)
@@ -26,6 +28,11 @@ class Vertex(NamedTuple):
     label: str
 
 
+def _vertices(ids: Iterable[int], kind: str, labels: Iterable[str]) -> Iterator[Vertex]:
+    """Vertices of one kind, as ``Vertex._make`` makes them, at C speed."""
+    return map(tuple.__new__, repeat(Vertex), zip(ids, repeat(kind), labels))
+
+
 @dataclass(frozen=True)
 class Complex:
     vertices: tuple[Vertex, ...]
@@ -33,22 +40,26 @@ class Complex:
     triangles: frozenset[tuple[int, int, int]] = frozenset()
 
     def __post_init__(self):
-        ids, kinds, _ = zip(*self.vertices) if self.vertices else ((), (), ())
-        idset = set(ids)
-        if len(ids) != len(idset):
+        vertices, edges, triangles = self.vertices, self.edges, self.triangles
+        idset = set(map(itemgetter(0), vertices))
+        if len(idset) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        if unknown := set(kinds).difference(KINDS):
-            kind = next(k for k in kinds if k in unknown)
+        if unknown := set(map(itemgetter(1), vertices)).difference(KINDS):
+            kind = next(v.kind for v in vertices if v.kind in unknown)
             raise ValueError(f"unknown vertex kind {kind!r}")
-        for a, b in self.edges:
+        for a, b in edges:
             if not (a < b) or a not in idset or b not in idset:
                 raise ValueError(f"bad edge ({a}, {b})")
-        for a, b, c in self.triangles:
-            if not (a < b < c):
-                raise ValueError(f"bad triangle ({a}, {b}, {c})")
-            for e in ((a, b), (a, c), (b, c)):
-                if e not in self.edges:
-                    raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
+        # edges are ordered, so a triangle whose three edges are edges is
+        # ordered too; only a failure pays for the loop naming the first one
+        ta, tb, tc = zip(*triangles) if triangles else ((), (), ())
+        if not all(map(edges.issuperset, (zip(ta, tb), zip(ta, tc), zip(tb, tc)))):
+            for a, b, c in triangles:
+                if not (a < b < c):
+                    raise ValueError(f"bad triangle ({a}, {b}, {c})")
+                for e in ((a, b), (a, c), (b, c)):
+                    if e not in edges:
+                        raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
 
 
 def make_complex(
@@ -98,18 +109,15 @@ def bfs_order(adj: dict[int, list[int]], start: int) -> list[int]:
 def is_forest(c: Complex) -> bool:
     """True when the 1-skeleton has no cycle."""
     parent = {v.id: v.id for v in c.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in sorted(c.edges):
-        ra, rb = find(a), find(b)
-        if ra == rb:
+    for a, b in c.edges:
+        # union-find with path halving: replace a and b by their roots
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if a == b:
             return False
-        parent[ra] = rb
+        parent[a] = b
     return True
 
 
@@ -135,8 +143,8 @@ def induced(c: Complex, keep: Iterable[int]) -> Complex:
     """Full subcomplex on the given vertex ids."""
     keep = set(keep)
     vs = tuple(v for v in c.vertices if v.id in keep)
-    es = frozenset(e for e in c.edges if keep.issuperset(e))
-    ts = frozenset(t for t in c.triangles if keep.issuperset(t))
+    es = frozenset(filter(keep.issuperset, c.edges))
+    ts = frozenset(filter(keep.issuperset, c.triangles))
     return Complex(vs, es, ts)
 
 
@@ -210,16 +218,17 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
 
 
 def _odd_graft_tree(farey_depth: int):
-    """BFS-ordered slope labels and local edges of the odd subtree used
-    for grafting: the connected component of 1/0 in the odd subcomplex of
-    the depth-truncated Farey ball."""
+    """BFS-ordered slope labels and local edges (i, j), i < j, of the odd
+    subtree used for grafting: the connected component of 1/0 in the odd
+    subcomplex of the depth-truncated Farey ball."""
     from . import farey  # deferred: farey builds on this module
 
-    slopes, edges, _, _ = farey._grow(farey_depth)
-    order = farey._odd_component(slopes, edges)
+    build = farey._grow(farey_depth)
+    adj = farey._odd_adjacency(build)
+    order = bfs_order(adj, 0)
     pos = {vid: j for j, vid in enumerate(order)}
-    slots = [str(slopes[vid]) for vid in order]
-    return slots, [(pos[a], pos[b]) for a, b in edges if a in pos and b in pos]
+    slots = [f"{build.nums[vid]}/{build.dens[vid]}" for vid in order]
+    return slots, [(pos[a], pos[b]) for a in order for b in adj[a] if pos[a] < pos[b]]
 
 
 def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
@@ -233,20 +242,20 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
     whites = [v for v in sp.vertices if v.kind == KIND_WHITE]
     white_ids = {v.id: j for j, v in enumerate(whites)}
     vertices = [Vertex(j, KIND_WHITE, v.label) for j, v in enumerate(whites)]
+    lo, hi = zip(*local_edges) if local_edges else ((), ())
     edges: set[tuple[int, int]] = set()
     adj = neighbors(sp)
     graft: dict[str, list[int]] = {}
     for v in sp.vertices:
         if v.kind != KIND_BLACK:
             continue
-        copy = [white_ids[w] for w in adj[v.id]]  # id order = creation order
-        for j in range(len(copy), len(slots)):
-            nid = len(vertices)
-            vertices.append(Vertex(nid, KIND_SLOPE, f"{v.label}:{slots[j]}"))
-            copy.append(nid)
-        for ja, jb in local_edges:
-            a, b = copy[ja], copy[jb]
-            edges.add((a, b) if a < b else (b, a))
+        # whites in id order, then fresh ids: copy is increasing, so i < j gives copy[i] < copy[j]
+        copy = [white_ids[w] for w in adj[v.id]]
+        fresh = range(len(vertices), len(vertices) + len(slots) - len(copy))
+        labels = map(f"{v.label}:".__add__, slots[len(copy):])
+        vertices += _vertices(fresh, KIND_SLOPE, labels)
+        copy += fresh
+        edges.update(zip(map(copy.__getitem__, lo), map(copy.__getitem__, hi)))
         graft[v.label] = copy
     return Complex(tuple(vertices), frozenset(edges)), graft
 

@@ -6,6 +6,15 @@ vertical slope.  Two slopes are Farey-adjacent when the determinant
 n1*d2 - n2*d1 is +-1; finite balls of the Farey complex are grown by
 mediant insertion from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 
+A ball is grown as a parent table (``_grow``): int columns ``nums`` and
+``dens`` of the slopes in id order, and the ends ``pa[c - 2] < pb[c - 2]``
+of the edge that vertex c >= 2 was grown on, so its edges are (0, 1),
+(pa, c) and (pb, c) and its triangles (pa, pb, c).  The build checks
+that each expanded edge has determinant +-1 and exactly one fresh apex,
+and numbers new vertices in sorted-frontier order.  Only
+``stern_brocot_ball`` makes labels and a ``Complex``; the reach check
+and the graft tree search the columns.
+
 The odd subcomplex keeps only vertices with odd numerator.  It carries
 no triangles (the mediant of two odd numerators is even) and its balls
 are forests.  Their connectivity to 1/0 is checked inside the ball
@@ -13,11 +22,13 @@ itself, where every odd vertex has an odd parent; a slightly deeper ball
 is only a fallback.
 """
 
+from collections import namedtuple
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
 from . import complexes
-from .complexes import Complex, Vertex
+from .complexes import KIND_SLOPE, Complex
 
 
 class Slope(NamedTuple):
@@ -88,64 +99,90 @@ def arc_slope(endpoint: tuple[int, int]) -> Slope:
     return slope_normalize(t, s)
 
 
-def _mediants(a: Slope, b: Slope) -> tuple[Slope, Slope]:
+def _mediants(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
     """The candidate apexes a + b and a - b over the Farey-adjacent edge
-    a-b: a common divisor would divide the determinant +-1, so both are
-    reduced and only the sign of a - b is normalized."""
-    n, d = a.n - b.n, a.d - b.d
-    m = Slope(-n, -d) if d < 0 else Slope(n, d) if d else INFINITY
-    return Slope(a.n + b.n, a.d + b.d), m
+    a-b, as (n, d, n, d): a common divisor would divide the determinant
+    +-1, so both are reduced and only the sign of a - b is normalized."""
+    n, d = an - bn, ad - bd
+    if d < 0:
+        return an + bn, ad + bd, -n, -d
+    return (an + bn, ad + bd, n, d) if d else (an + bn, ad + bd, 1, 0)
 
 
-def _grow(depth: int):
-    """Grow the ball by ``depth`` rounds of mediant insertion: the slopes
-    in id order, the edge and triangle sets and the vertex count after
-    each round.  The frontier lists the boundary edges (a, b, apex); a new
-    triangle (a, b, c) replaces its edge by (a, c, b) and (b, c, a).  New
-    ids follow the sorted frontier, so ball(d) is the prefix of ids below
-    ``sizes[d]`` of every deeper ball.  Every frontier edge must be
-    Farey-adjacent, and exactly one of its candidates a + b, a - b must
-    differ from its apex and be new."""
+_Build = namedtuple("_Build", "nums dens pa pb sizes")
+
+
+def _grow(depth: int) -> _Build:
+    """Grow the ball by ``depth`` rounds of mediant insertion into the
+    parent table of the module docstring, with the vertex count after each
+    round; 1/1 and -1/1 hang on the edge 1/0 - 0/1.  The frontier lists
+    the boundary edges (a, b, apex); a new vertex c on (a, b) replaces its
+    edge by (a, c, b) and (b, c, a).  A Farey edge has just two common
+    neighbors, a + b and a - b, so a candidate that is not the apex and is
+    adjacent to a and to b is new.
+
+    >>> b = _grow(1)
+    >>> b.nums, b.dens
+    ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2])
+    >>> b.pa, b.pb, b.sizes
+    ([0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3], [4, 8])
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    slopes = list(_BASE)
-    seen = set(slopes)
-    edges = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
-    triangles = {(0, 1, 2), (0, 1, 3)}
+    nums = [s.n for s in _BASE]
+    dens = [s.d for s in _BASE]
+    pa, pb = [0, 0], [1, 1]
     frontier = [(0, 2, 1), (1, 2, 0), (0, 3, 1), (1, 3, 0)]
-    sizes = [len(slopes)]
+    sizes = [len(nums)]
     for _ in range(depth):
         frontier.sort()
         grown = []
-        for a, b, apex in frontier:
-            sa, sb, sx = slopes[a], slopes[b], slopes[apex]
-            p, m = _mediants(sa, sb)
-            sc = m if p == sx else p
-            det = sa.n * sb.d - sb.n * sa.d
-            if det not in (1, -1) or (p == sx) == (m == sx) or sc in seen:
-                raise AssertionError(f"expected one new apex on edge {sa}-{sb}")
-            c = len(slopes)
-            slopes.append(sc)
-            seen.add(sc)
-            edges.update(((a, c), (b, c)))
-            triangles.add((a, b, c))
+        for a, b, x in frontier:
+            an, ad, bn, bd, xn, xd = nums[a], dens[a], nums[b], dens[b], nums[x], dens[x]
+            pn, pd, mn, md = _mediants(an, ad, bn, bd)
+            p_is_x = pn == xn and pd == xd
+            cn, cd = (mn, md) if p_is_x else (pn, pd)
+            # the determinants of a-b, a-c and c-b are all +-1 iff their product is
+            dets = (an * bd - bn * ad) * (an * cd - cn * ad) * (cn * bd - bn * cd)
+            if p_is_x == (mn == xn and md == xd) or dets not in (1, -1):
+                raise AssertionError(f"expected one new apex on edge {an}/{ad}-{bn}/{bd}")
+            c = len(nums)
+            nums.append(cn)
+            dens.append(cd)
+            pa.append(a)
+            pb.append(b)
             grown += ((a, c, b), (b, c, a))
         frontier = grown
-        sizes.append(len(slopes))
-    return slopes, edges, triangles, sizes
+        sizes.append(len(nums))
+    return _Build(nums, dens, pa, pb, sizes)
 
 
-def _odd_component(slopes: list[Slope], edges) -> list[int]:
-    """Ids of the component of 1/0 (id 0) in the odd subgraph, in BFS
-    order with neighbors visited in increasing id order."""
-    adj = {i: [] for i, s in enumerate(slopes) if is_odd_vertex(s)}
-    for a, b in edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    for lst in adj.values():
-        lst.sort()
-    return complexes.bfs_order(adj, 0)
+def _odd_adjacency(build: _Build) -> dict[int, list[int]]:
+    """Neighbor lists of the odd subgraph of a build, in increasing id
+    order (each edge joins a vertex to a smaller parent; (0, 1) joins 1/0
+    to the even 0/1)."""
+    adj = {i: [] for i, n in enumerate(build.nums) if n & 1}
+    for c, a, b in zip(range(2, len(build.nums)), build.pa, build.pb):
+        if c in adj:
+            for p in (a, b):
+                if p in adj:
+                    adj[p].append(c)
+                    adj[c].append(p)
+    return adj
+
+
+def _ball(build: _Build) -> Complex:
+    """The complex of a build, with labels; its simplices share one int
+    object per id."""
+    ids = list(range(len(build.nums)))
+    pa, pb = (list(map(ids.__getitem__, p)) for p in (build.pa, build.pb))
+    grown = ids[2:]
+    labels = map("{}/{}".format, build.nums, build.dens)
+    # a union of two sets sizes its table once; a set grown by one edge at
+    # a time ends with a table twice as large
+    edges = frozenset(chain(((0, 1),), zip(pa, grown))) | frozenset(zip(pb, grown))
+    vertices = tuple(complexes._vertices(ids, KIND_SLOPE, labels))
+    return Complex(vertices, edges, frozenset(zip(pa, pb, grown)))
 
 
 def stern_brocot_ball(depth: int) -> Complex:
@@ -160,17 +197,30 @@ def stern_brocot_ball(depth: int) -> Complex:
     ...  for b in map(stern_brocot_ball, range(4))]
     [(4, 5, 2), (8, 13, 6), (16, 29, 14), (32, 61, 30)]
     """
-    slopes, edges, triangles, _ = _grow(depth)
-    vertices = tuple(
-        Vertex(i, complexes.KIND_SLOPE, str(s)) for i, s in enumerate(slopes)
-    )
-    return Complex(vertices, frozenset(edges), frozenset(triangles))
+    return _ball(_grow(depth))
 
 
 def f_odd_subcomplex(c: Complex) -> Complex:
-    """Full subcomplex on the odd-numerator vertices."""
-    keep = {v.id for v in c.vertices if int(v.label.partition("/")[0]) % 2}
+    """Full subcomplex on the odd-numerator vertices.  Every vertex must
+    have kind slope; parity is the last digit before the ``/`` of its
+    label n/d."""
+    if {v.kind for v in c.vertices} - {KIND_SLOPE}:
+        v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
+        raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
+    keep = {v.id for v in c.vertices if v.label[v.label.find("/") - 1] in "13579"}
     return complexes.induced(c, keep)
+
+
+def _reaches(build: _Build, margin: int) -> bool:
+    """``odd_vertices_reach_infinity`` at the depth of ``build``, which
+    serves as the ball; the deeper ball is grown only if its search fails."""
+    depth, size = len(build.sizes) - 1, build.sizes[-1]
+    odd = [i for i in range(size) if build.nums[i] & 1]
+    for d in sorted({depth, depth + margin}):
+        reached = complexes.bfs_order(_odd_adjacency(build if d == depth else _grow(d)), 0)
+        if set(reached).issuperset(odd):
+            return True
+    return False
 
 
 def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
@@ -182,10 +232,4 @@ def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
     for a grown a +- b, its odd-numerator parent)."""
     if depth < 0 or margin < 0:
         raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
-    for d in sorted({depth, depth + margin}):
-        slopes, edges, _, sizes = _grow(d)
-        reached = set(_odd_component(slopes, edges))
-        small = range(sizes[depth])
-        if all(i in reached for i in small if is_odd_vertex(slopes[i])):
-            return True
-    return False
+    return _reaches(_grow(depth), margin)

@@ -235,3 +235,52 @@ def odd_graft_tree_oracle(farey_depth):
         if a in pos and b in pos
     )
     return [labels[vid] for vid in order], local_edges
+
+
+def validate_oracle(self):
+    """The per-element ``Complex.__post_init__`` validation, verbatim: each
+    check in turn over every vertex, edge and triangle, raising
+    ``ValueError`` at the first offender.  ``self`` is anything with
+    ``vertices``, ``edges`` and ``triangles``; the library's whole-set
+    checks must raise the same message, or none when this raises none."""
+    ids, kinds, _ = zip(*self.vertices) if self.vertices else ((), (), ())
+    idset = set(ids)
+    if len(ids) != len(idset):
+        raise ValueError("duplicate vertex ids")
+    if unknown := set(kinds).difference(complexes.KINDS):
+        kind = next(k for k in kinds if k in unknown)
+        raise ValueError(f"unknown vertex kind {kind!r}")
+    for a, b in self.edges:
+        if not (a < b) or a not in idset or b not in idset:
+            raise ValueError(f"bad edge ({a}, {b})")
+    for a, b, c in self.triangles:
+        if not (a < b < c):
+            raise ValueError(f"bad triangle ({a}, {b}, {c})")
+        for e in ((a, b), (a, c), (b, c)):
+            if e not in self.edges:
+                raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
+
+
+def forest_oracle(vertex_ids, edges):
+    """(is forest, is tree) of a simple graph by counting: BFS finds the
+    components, and a graph is a forest exactly when it has
+    V - components edges; a tree is a forest with one component."""
+    adj = {v: [] for v in vertex_ids}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set()
+    components = 0
+    for v in adj:
+        if v in seen:
+            continue
+        components += 1
+        seen.add(v)
+        queue = [v]
+        while queue:
+            for w in adj[queue.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    forest = len(edges) == len(adj) - components
+    return forest, forest and components == 1

@@ -154,6 +154,21 @@ def test_farey_check_tree(capsys):
     assert lines[1].endswith("true")
 
 
+def test_farey_check_tree_grows_the_ball_once(capsys, monkeypatch):
+    calls = []
+    grow = farey._grow
+
+    def counted(depth):
+        calls.append(depth)
+        return grow(depth)
+
+    monkeypatch.setattr(farey, "_grow", counted)
+    code, out, _ = run(capsys, "farey", "--max-depth", "6", "--odd", "--check-tree")
+    assert code == 0
+    assert out == "forest: true\nconnected to 1/0 within depth+2: true\n"
+    assert calls == [6]
+
+
 def test_farey_check_tree_requires_odd(capsys):
     code, _, err = run(capsys, "farey", "--max-depth", "2", "--check-tree")
     assert code == 1

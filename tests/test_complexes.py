@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heegaard2 import complexes, farey
 from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Vertex
+from helpers import forest_oracle, validate_oracle
 
 
 def kinds(cpx):
@@ -217,3 +222,81 @@ def test_component_bfs_order():
     order = complexes.component(cpx, 0)
     assert order[0] == 0
     assert sorted(order) == [v.id for v in cpx.vertices]
+
+
+def _raised(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _simplices(ids, size, max_size):
+    """Lists of sorted ``size``-tuples of distinct ids (none if too few)."""
+    if len(ids) < size:
+        return st.just([])
+    simplex = st.lists(st.sampled_from(sorted(ids)), min_size=size, max_size=size, unique=True)
+    return st.lists(simplex.map(lambda s: tuple(sorted(s))), max_size=max_size)
+
+
+@st.composite
+def complex_parts(draw):
+    """Vertices with scattered ids, edges and triangles that make a valid
+    complex, then at most one defect."""
+    ids = draw(st.lists(st.integers(-40, 40), unique=True, max_size=9))
+    vertices = [Vertex(i, draw(st.sampled_from(complexes.KINDS)), f"v{i}") for i in ids]
+    triangles = set(draw(_simplices(ids, 3, 4)))
+    edges = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
+    edges |= set(draw(_simplices(ids, 2, 8)))
+    defect = draw(st.sampled_from(
+        ["none", "duplicate id", "unknown kind", "reversed edge", "dangling edge",
+         "triangle order", "missing triangle edge"]
+    ))
+    if defect == "duplicate id" and len(vertices) >= 2:
+        j = draw(st.integers(1, len(vertices) - 1))
+        vertices[j] = vertices[j]._replace(id=vertices[0].id)
+    elif defect == "unknown kind" and vertices:
+        j = draw(st.integers(0, len(vertices) - 1))
+        vertices[j] = vertices[j]._replace(kind="purple")
+    elif defect == "reversed edge" and edges:
+        a, b = draw(st.sampled_from(sorted(edges)))
+        edges.add((b, a))
+    elif defect == "dangling edge" and ids:
+        edges.add(tuple(sorted((draw(st.sampled_from(ids)), 41))))
+    elif defect == "triangle order" and triangles:
+        a, b, c = draw(st.sampled_from(sorted(triangles)))
+        triangles.add(draw(st.sampled_from([(b, a, c), (a, c, b), (c, b, a)])))
+    elif defect == "missing triangle edge" and triangles:
+        a, b, c = draw(st.sampled_from(sorted(triangles)))
+        edges.discard(draw(st.sampled_from([(a, b), (a, c), (b, c)])))
+    return tuple(vertices), frozenset(edges), frozenset(triangles)
+
+
+@given(complex_parts())
+@example(((), frozenset(), frozenset()))
+def test_validation_matches_the_per_element_oracle(parts):
+    vertices, edges, triangles = parts
+    parts_ns = SimpleNamespace(vertices=vertices, edges=edges, triangles=triangles)
+    assert _raised(lambda: complexes.Complex(vertices, edges, triangles)) == _raised(
+        lambda: validate_oracle(parts_ns)
+    )
+
+
+@given(
+    st.lists(st.integers(-30, 30), unique=True, max_size=10).flatmap(
+        lambda ids: st.tuples(st.just(ids), _simplices(ids, 2, 12))
+    )
+)
+@example(([], []))
+@example(([-5, 3, 9], [(-5, 3), (3, 9), (-5, 9)]))
+@example(([-5, 3, 9, 20], [(-5, 9), (3, 20)]))
+def test_forest_and_tree_match_the_counting_oracle(graph):
+    """Scattered ids, cycles, several components and the empty graph."""
+    ids, edges = graph
+    cpx = complexes.Complex(
+        tuple(Vertex(i, KIND_BLACK, str(i)) for i in ids), frozenset(edges)
+    )
+    assert (complexes.is_forest(cpx), complexes.is_tree(cpx)) == forest_oracle(
+        ids, cpx.edges
+    )

@@ -133,6 +133,26 @@ def test_f_odd_empty():
     assert farey.f_odd_subcomplex(empty).vertices == ()
 
 
+@pytest.mark.parametrize(
+    "cpx, named",
+    [
+        (complexes.haken_complex_model(2, 2, 2), r"vertex 0 \('sphere0'\) has kind 'white'"),
+        (complexes.sp_cone_model(2), r"vertex 0 \('reducing-disk'\) has kind 'apex'"),
+        (
+            complexes.make_complex([
+                complexes.Vertex(0, complexes.KIND_SLOPE, "1/0"),
+                complexes.Vertex(1, complexes.KIND_WHITE, "sphere3"),
+                complexes.Vertex(2, complexes.KIND_SLOPE, "disk0:1/1"),
+            ]),
+            r"vertex 1 \('sphere3'\) has kind 'white'",
+        ),
+    ],
+)
+def test_f_odd_rejects_a_vertex_that_is_not_a_slope(cpx, named):
+    with pytest.raises(ValueError, match=rf"^{named}, not a slope$"):
+        farey.f_odd_subcomplex(cpx)
+
+
 def test_f_odd_no_triangles_and_forest():
     for depth in range(6):
         odd = farey.f_odd_subcomplex(farey.stern_brocot_ball(depth))

@@ -67,16 +67,25 @@ def test_haken_model_matches_oracle_graft_on_criterion_6_grid(monkeypatch):
         assert got == _model_or_error(*args), args
 
 
+def _cut(build, v):
+    """The build with every edge at vertex ``v`` moved onto 0/1 (id 1,
+    even), so that ``v`` has no odd neighbor left."""
+    pa = [1 if a == v else a for a in build.pa]
+    pb = [1 if b == v else b for b in build.pb]
+    if 2 <= v < len(build.nums):
+        pa[v - 2] = pb[v - 2] = 1
+    return build._replace(pa=pa, pb=pb)
+
+
 def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     # the verdict is true at every depth, so cut the last odd vertex of the
     # depth-2 ball off the grown ball and expect it to be missed
     grow = farey._grow
-    slopes, _, _, sizes = grow(2)
-    lost = max(i for i in range(sizes[2]) if farey.is_odd_vertex(slopes[i]))
+    build = grow(2)
+    lost = max(i for i in range(build.sizes[2]) if build.nums[i] % 2)
 
     def cut(depth):
-        slopes, edges, triangles, sizes = grow(depth)
-        return slopes, {e for e in edges if lost not in e}, triangles, sizes
+        return _cut(grow(depth), lost)
 
     monkeypatch.setattr(farey, "_grow", cut)
     assert not farey.odd_vertices_reach_infinity(2)
@@ -109,8 +118,11 @@ def test_grow_rejects_an_apex_that_is_not_fresh(monkeypatch, wrong, collapsed):
     # at all, and mapping 0/1 onto 5/1 offers two new candidates
     mediants = farey._mediants
 
-    def collapse(a, b):
-        return tuple(collapsed if s == wrong else s for s in mediants(a, b))
+    def collapse(an, ad, bn, bd):
+        pn, pd, mn, md = mediants(an, ad, bn, bd)
+        slopes = (farey.Slope(pn, pd), farey.Slope(mn, md))
+        p, m = (collapsed if s == wrong else s for s in slopes)
+        return (*p, *m)
 
     monkeypatch.setattr(farey, "_mediants", collapse)
     with pytest.raises(AssertionError, match="one new apex"):
@@ -127,14 +139,14 @@ def test_grow_rejects_an_edge_that_is_not_adjacent(monkeypatch):
         farey.stern_brocot_ball(1)
 
 
-def _recording_grow(monkeypatch, damage=lambda edges: edges):
+def _recording_grow(monkeypatch, damage=lambda build: build):
     calls = []
     grow = farey._grow
 
     def recorded(depth):
         calls.append(depth)
-        slopes, edges, triangles, sizes = grow(depth)
-        return slopes, damage(edges) if len(calls) == 1 else edges, triangles, sizes
+        build = grow(depth)
+        return damage(build) if len(calls) == 1 else build
 
     monkeypatch.setattr(farey, "_grow", recorded)
     return calls
@@ -151,6 +163,6 @@ def test_reach_builds_one_ball_when_it_passes(monkeypatch, depth, margin):
 def test_reach_falls_back_to_the_deeper_ball(monkeypatch, depth, margin):
     # cut the first build's edges at 1/0: its search fails, the deeper
     # (intact) build passes
-    calls = _recording_grow(monkeypatch, lambda edges: {e for e in edges if 0 not in e})
+    calls = _recording_grow(monkeypatch, lambda build: _cut(build, 0))
     assert farey.odd_vertices_reach_infinity(depth, margin)
     assert calls == [depth, depth + margin]
