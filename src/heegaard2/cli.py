@@ -76,8 +76,6 @@ def _cmd_primitive(args) -> int:
         reason = fgroup.letter_obstruction_reason(word)
         if reason is not None:
             print(f"criterion: {reason}")
-        elif fgroup.has_subword_obstruction(word):
-            print("criterion: contains a flanked power x y^p X or a double square, up to symmetry")
         else:
             print("criterion: whitehead reduction stops above length 1")
     return 0

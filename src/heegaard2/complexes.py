@@ -305,8 +305,6 @@ def cone_check(c: Complex) -> bool:
         return False
     apex = apexes[0]
     others = {v.id for v in c.vertices if v.id != apex}
-    if not others:
-        return False
     adj = neighbors(c)
     if set(adj[apex]) != others:
         return False

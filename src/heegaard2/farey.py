@@ -22,9 +22,11 @@ itself, where every odd vertex has an odd parent; a slightly deeper ball
 is only a fallback.
 """
 
+import re
 from collections import namedtuple
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import complexes
@@ -200,13 +202,27 @@ def stern_brocot_ball(depth: int) -> Complex:
     return _ball(_grow(depth))
 
 
+_SLOPE_LABEL = r"-?\d+/\d+"
+# the start of a line that is not a slope label; a lookahead, so a search
+# keeps no state from line to line
+_NOT_A_SLOPE = re.compile(rf"^(?!{_SLOPE_LABEL}$)", re.MULTILINE | re.ASCII)
+
+
 def f_odd_subcomplex(c: Complex) -> Complex:
     """Full subcomplex on the odd-numerator vertices.  Every vertex must
-    have kind slope; parity is the last digit before the ``/`` of its
-    label n/d."""
+    have kind slope and a label n/d of decimal integers; parity is the
+    last digit before the ``/``.  One search over the newline-joined
+    labels checks them all; only a failure checks them one by one."""
     if {v.kind for v in c.vertices} - {KIND_SLOPE}:
         v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
         raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
+    labels = "\n".join(map(itemgetter(2), c.vertices))
+    # a newline inside a label would split it into lines that each pass
+    if c.vertices and (
+        labels.count("\n") >= len(c.vertices) or _NOT_A_SLOPE.search(labels)
+    ):
+        v = next(v for v in c.vertices if not re.fullmatch(_SLOPE_LABEL, v.label, re.ASCII))
+        raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
     keep = {v.id for v in c.vertices if v.label[v.label.find("/") - 1] in "13579"}
     return complexes.induced(c, keep)
 

@@ -18,20 +18,21 @@ prints as "1".
 
 Normal forms push the central letters to the front, kill involution
 squares and free cancellations, and (in case 1b) move d past b at the
-cost of an a.  The rule sets terminate (each rule lowers the measure
-returned by :func:`termination_measure`) and are locally confluent
+cost of an a; each rule family is read off the case presentation.  The
+rule sets terminate (each rule lowers the measure returned by
+:func:`termination_measure`) and are locally confluent
 (:func:`check_local_confluence` returns no critical pairs), so normal
 forms are unique and word equality is decidable.
 
 One stack engine, :func:`rewrite`, applies every rule set here: its stack
 stays irreducible, so only rules ending in the token just pushed are
 tried, and confluence makes the unique normal form independent of that
-strategy.  :func:`element_order` and :func:`amalgam_assemble` reuse it.
+strategy.  :func:`element_order` reuses it.  Stabilizers use the
+generator names of the whole group, so amalgams identify generators by name.
 """
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 Word = tuple[str, ...]
@@ -158,29 +159,23 @@ def goeritz_presentation(case: str) -> Presentation:
     return _lookup(_GOERITZ, case)
 
 
-STABILIZERS = (
-    "disk_sphere",  # one disk and one sphere
-    "disk_sphere_sphere",  # one disk and an ordered sphere pair
-    "disk_sphere_pair",  # one disk and an unordered sphere pair
-    "disk",  # one disk
-    "disk_disk",  # an ordered disk pair
-    "disk_pair",  # an unordered disk pair
-)
-
 # generators of each stabilizer in cases 1a, 1b and 2; the lens cases differ
 # only in the unordered disk pair, which carries the half twist d if symmetric
 _STABILIZER_GENERATORS = {
+    # one disk and one sphere
     "disk_sphere": (("a", "b"), ("a", "b"), ("a", "b", "t")),
+    # one disk and an ordered sphere pair
     "disk_sphere_sphere": (("a",), ("a",), ("a", "t")),
+    # one disk and an unordered sphere pair
     "disk_sphere_pair": (("a", "g1"), ("a", "g1"), ("a", "g", "t")),
+    # one disk
     "disk": (("a", "b", "g1"), ("a", "b", "g1"), ("a", "b", "g", "t")),
+    # an ordered disk pair
     "disk_disk": (("a", "b"), ("a", "b"), ("a", "t")),
+    # an unordered disk pair
     "disk_pair": (("a", "b"), ("a", "b", "d"), ("a", "s", "t")),
 }
-_STABILIZERS = {
-    case: {w: _presentation(*g[i]) for w, g in _STABILIZER_GENERATORS.items()}
-    for i, case in enumerate(CASES)
-}
+STABILIZERS = tuple(_STABILIZER_GENERATORS)
 
 
 def stabilizer_presentation(which: str, case: str) -> Presentation:
@@ -190,7 +185,8 @@ def stabilizer_presentation(which: str, case: str) -> Presentation:
     case determines whether the central twist t is present and whether
     the unordered disk pair carries the half-twist relation d b d = a b.
     """
-    return _lookup(_lookup(_STABILIZERS, case), which, STABILIZERS, "stabilizer")
+    gens = _lookup(_STABILIZER_GENERATORS, which, STABILIZERS, "stabilizer")
+    return _presentation(*_lookup(dict(zip(CASES, gens)), case))
 
 
 def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
@@ -208,33 +204,13 @@ def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentati
     )
 
 
-@dataclass(frozen=True)
-class AmalgamData:
-    """Two vertex groups, an edge group and its two embeddings, given as
-    generator images (words in the target generators)."""
+class AmalgamData(NamedTuple):
+    """Two vertex groups and an edge group, subgroups of one Goeritz group
+    in its generator names; the edge group includes into both by name."""
 
     vertex_a: Presentation
     vertex_b: Presentation
     edge: Presentation
-    embed_a: Mapping[str, Word]
-    embed_b: Mapping[str, Word]
-
-    def __post_init__(self):
-        for name, emb, target in (
-            ("embed_a", self.embed_a, self.vertex_a),
-            ("embed_b", self.embed_b, self.vertex_b),
-        ):
-            if set(emb) != set(self.edge.generators):
-                raise ValueError(f"{name} must be defined on the edge generators")
-            gens = set(target.generators)
-            for c, img in emb.items():
-                for tok in img:
-                    if _base(tok) not in gens:
-                        raise ValueError(
-                            f"{name}[{c!r}] uses {tok!r}, not a target generator"
-                        )
-        object.__setattr__(self, "embed_a", MappingProxyType(dict(self.embed_a)))
-        object.__setattr__(self, "embed_b", MappingProxyType(dict(self.embed_b)))
 
 
 def _free_cancellation(gens: Iterable[str]) -> list[tuple[Word, Word]]:
@@ -242,50 +218,39 @@ def _free_cancellation(gens: Iterable[str]) -> list[tuple[Word, Word]]:
 
 
 def amalgam_assemble(data: AmalgamData) -> Presentation:
-    """Presentation of the amalgamated free product: union of generators
-    (shared names identified) and relators, plus a relator equating the
-    two images of each edge generator.  Trivial identification relators
-    are dropped and duplicate relators deduplicated, which is exactly the
-    cleanup needed to reproduce the Goeritz presentations."""
-    a, b = data.vertex_a, data.vertex_b
-    shared = [g for g in a.generators if g in b.generators]
-    for g in shared:
-        carried = any(
-            data.embed_a[c] == (g,) and data.embed_b[c] == (g,)
-            for c in data.edge.generators
-        )
-        if not carried:
+    """Presentation of the amalgamated free product.  The edge group
+    includes into both vertex groups by generator name, so shared names
+    are identified: generators and relators are the unions of the
+    factors' (duplicates dropped), central generators those central in
+    both.  A shared generator missing from the edge group, or an edge
+    generator missing from a factor, is a ValueError."""
+    a, b, edge = data
+    for g in a.generators:
+        if g in b.generators and g not in edge.generators:
             raise ValueError(
                 f"inconsistent shared generator {g!r}: not carried by the edge group"
             )
-    generators = tuple(a.generators) + tuple(
-        g for g in b.generators if g not in a.generators
-    )
-    relators: list[Word] = []
-    for r in a.relators + b.relators:
-        if r not in relators:
-            relators.append(r)
-    free_cancel = _free_cancellation(generators)
-    for c in data.edge.generators:
-        rel = rewrite(data.embed_a[c] + invert_word(data.embed_b[c]), free_cancel)
-        if rel and rel not in relators:
-            relators.append(rel)
+    for g in edge.generators:
+        if g not in a.generators or g not in b.generators:
+            raise ValueError(f"edge generator {g!r} is not a generator of both factors")
+    generators = a.generators + tuple(g for g in b.generators if g not in a.generators)
+    relators = tuple(dict.fromkeys(a.relators + b.relators))
     central = tuple(g for g in a.central if g in b.central)
-    return Presentation(generators, tuple(relators), central)
+    return Presentation(generators, relators, central)
 
 
 def case_amalgam(case: str) -> AmalgamData:
-    """The amalgam that assembles the Goeritz group of the given case
-    from disk stabilizers over their common subgroup."""
-    stabilizer = _lookup(_STABILIZERS, case)
-    vertex_a = stabilizer["disk"]
+    """The amalgam that assembles the Goeritz group of the given case:
+    the stabilizers of a disk and of an unordered disk pair (in case 1a,
+    the disk one again with g2 for g1) over that of a disk and a sphere
+    (of an ordered disk pair in case 2)."""
+    vertex_a = stabilizer_presentation("disk", case)
     if case == "1a":
         vertex_b = rename_generators(vertex_a, {"g1": "g2"})
     else:
-        vertex_b = stabilizer["disk_pair"]
-    edge = stabilizer["disk_disk" if case == "2" else "disk_sphere"]
-    identity = {c: (c,) for c in edge.generators}
-    return AmalgamData(vertex_a, vertex_b, edge, identity, identity)
+        vertex_b = stabilizer_presentation("disk_pair", case)
+    edge = stabilizer_presentation("disk_disk" if case == "2" else "disk_sphere", case)
+    return AmalgamData(vertex_a, vertex_b, edge)
 
 
 @dataclass(frozen=True)
@@ -308,23 +273,26 @@ class RewriteSystem:
         object.__setattr__(self, "_index", index)
 
 
-def _build_rules(case: str) -> RewriteSystem:
-    gens = _ALPHABETS[case]
-    involutions = [g for g in gens if g in _INVOLUTIONS]
+def _build_rules(p: Presentation) -> RewriteSystem:
+    """The rules read off a presentation: each involution square g g gives
+    g' -> g and g g -> 1, every other generator free cancellation, the
+    half twist d b -> a b d and d b' -> a b' d, and each central z, in
+    order, rules moving z (and z' if z is free) left past the letters of
+    the generators not central before it."""
+    involutions = [g for g in p.generators if (g, g) in p.relators]
     rules: list[tuple[Word, Word]] = [((g + "'",), (g,)) for g in involutions]
     rules += [((g, g), ()) for g in involutions]
-    free = [g for g in ("b", "t") if g in gens]
+    free = [g for g in p.generators if g not in involutions]
     rules += _free_cancellation(free)
-    if case == "1b":
-        rules.append((("d", "b"), ("a", "b", "d")))
-        rules.append((("d", "b'"), ("a", "b'", "d")))
-    movers = [g for g in involutions if g != "a"]
-    for tok in movers + [tok for g in free for tok in (g, g + "'")]:
-        rules.append(((tok, "a"), ("a", tok)))
-    if "t" in gens:
-        for tok in [g for g in movers if g != "t"] + ["b", "b'"]:
-            rules.append(((tok, "t"), ("t", tok)))
-            rules.append(((tok, "t'"), ("t'", tok)))
+    if _HALF_TWIST in p.relators:
+        rules += [(("d", tok), ("a", tok, "d")) for tok in ("b", "b'")]
+    for i, z in enumerate(p.central):
+        letters = (z,) if z in involutions else (z, z + "'")
+        ahead = p.central[: i + 1]
+        movers = [g for g in involutions if g not in ahead]
+        movers += [tok for g in free if g not in ahead for tok in (g, g + "'")]
+        for tok in movers:
+            rules += [((tok, y), (y, tok)) for y in letters]
     note = (
         "lexicographic (d-before-b inversions, length, primed tokens, "
         "positions of a, positions of t); every rule strictly decreases it"
@@ -332,7 +300,7 @@ def _build_rules(case: str) -> RewriteSystem:
     return RewriteSystem(tuple(rules), note)
 
 
-_SYSTEMS = {case: _build_rules(case) for case in CASES}
+_SYSTEMS = {case: _build_rules(p) for case, p in _GOERITZ.items()}
 
 
 def rewrite_system(case: str) -> RewriteSystem:

@@ -147,6 +147,32 @@ def rewrite_oracle(word, rules):
     return tuple(w)
 
 
+def rules_oracle(case):
+    """The Goeritz rule list as first written: each rule family spelled out
+    for its case, with b and t as the free letters and the half twist
+    added for case 1b.  The library reads the same rules, in the same
+    order, off the case presentation."""
+    from heegaard2.goeritz import _ALPHABETS, _INVOLUTIONS, _free_cancellation
+
+    gens = _ALPHABETS[case]
+    involutions = [g for g in gens if g in _INVOLUTIONS]
+    rules = [((g + "'",), (g,)) for g in involutions]
+    rules += [((g, g), ()) for g in involutions]
+    free = [g for g in ("b", "t") if g in gens]
+    rules += _free_cancellation(free)
+    if case == "1b":
+        rules.append((("d", "b"), ("a", "b", "d")))
+        rules.append((("d", "b'"), ("a", "b'", "d")))
+    movers = [g for g in involutions if g != "a"]
+    for tok in movers + [tok for g in free for tok in (g, g + "'")]:
+        rules.append(((tok, "a"), ("a", tok)))
+    if "t" in gens:
+        for tok in [g for g in movers if g != "t"] + ["b", "b'"]:
+            rules.append(((tok, "t"), ("t", tok)))
+            rules.append(((tok, "t'"), ("t'", tok)))
+    return tuple(rules)
+
+
 def stern_brocot_ball_oracle(depth):
     """Farey ball by rescanning: every round sorts all edges and takes
     those with one apex as the boundary.  The library grows the same ball

@@ -60,6 +60,16 @@ def test_primitive_neither(capsys):
     assert "contains both x and X" in lines[1]
 
 
+def test_primitive_neither_by_whitehead(capsys):
+    # no letter obstruction, so the Whitehead reduction decides
+    code, out, _ = run(capsys, "primitive", "xyxyyyy")
+    assert code == 0
+    assert out.splitlines() == [
+        "neither",
+        "criterion: whitehead reduction stops above length 1",
+    ]
+
+
 def test_primitive_true(capsys):
     code, out, _ = run(capsys, "primitive", "xxy")
     assert code == 0
@@ -130,6 +140,14 @@ def test_goeritz_abelianization(capsys):
     code, out, _ = run(capsys, "goeritz", "--case", "1a", "--abelianization")
     assert code == 0
     assert out.strip() == "Z + Z/2^3"
+
+
+def test_goeritz_abelianization_json(capsys):
+    code, out, _ = run(
+        capsys, "goeritz", "--case", "2", "--abelianization", "--format", "json"
+    )
+    assert code == 0
+    assert out == '{"free_rank": 2, "torsion": [2, 2, 2]}\n'
 
 
 def test_format_abelian_runs():

@@ -195,6 +195,18 @@ def test_cone_check_rejects_non_cone():
     assert not complexes.cone_check(complexes.sp_tree_model(2, 2))
 
 
+def test_cone_check_rejects_a_bare_or_partial_apex():
+    apex = complexes.Vertex(0, complexes.KIND_APEX, "reducing-disk")
+    assert not complexes.cone_check(complexes.make_complex([apex]))
+    # the apex misses base vertex 3 of the path 1 - 2 - 3
+    base = [complexes.Vertex(i, complexes.KIND_BLACK, f"disk{i - 1}") for i in (1, 2, 3)]
+    partial = complexes.make_complex(
+        [apex, *base], {(0, 1), (0, 2), (1, 2), (2, 3)}, {(0, 1, 2)}
+    )
+    assert complexes.is_tree(complexes.induced(partial, {1, 2, 3}))
+    assert not complexes.cone_check(partial)
+
+
 def test_json_round_trip():
     for cpx in (
         complexes.sp_tree_model(2, 3),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -150,6 +151,19 @@ def test_f_odd_empty():
 )
 def test_f_odd_rejects_a_vertex_that_is_not_a_slope(cpx, named):
     with pytest.raises(ValueError, match=rf"^{named}, not a slope$"):
+        farey.f_odd_subcomplex(cpx)
+
+
+# "1/2\n3/4" would pass a match over the newline-joined labels alone
+@pytest.mark.parametrize("label", ["abc", "disk0:3/2", "3/x", "1/2\n3/4"])
+def test_f_odd_rejects_a_slope_vertex_whose_label_is_not_a_slope(label):
+    cpx = complexes.make_complex([
+        complexes.Vertex(0, complexes.KIND_SLOPE, "1/0"),
+        complexes.Vertex(1, complexes.KIND_SLOPE, label),
+        complexes.Vertex(2, complexes.KIND_SLOPE, "x"),
+    ])
+    named = re.escape(f"vertex 1 has label {label!r}, not a slope n/d")
+    with pytest.raises(ValueError, match=rf"^{named}$"):
         farey.f_odd_subcomplex(cpx)
 
 

@@ -8,6 +8,7 @@ from heegaard2 import goeritz
 from helpers import GOERITZ_REFERENCE, STABILIZER_REFERENCE
 from helpers import goeritz_insertion_words as insertion_words
 from helpers import goeritz_random_word as random_word
+from helpers import rules_oracle
 
 
 def test_parse_and_format_tokens():
@@ -133,14 +134,19 @@ def test_amalgam_validation():
     a = goeritz.Presentation(("a", "b"), (("a", "a"),), ("a",))
     b = goeritz.Presentation(("a", "b"), (), ())
     edge = goeritz.Presentation(("a",), (("a", "a"),), ("a",))
-    ident = {"a": ("a",)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not carried by the edge group"):
         # b is shared but not carried by the edge group
-        goeritz.amalgam_assemble(goeritz.AmalgamData(a, b, edge, ident, ident))
-    with pytest.raises(ValueError):
-        goeritz.AmalgamData(a, b, edge, {}, ident)
-    with pytest.raises(ValueError):
-        goeritz.AmalgamData(a, b, edge, {"a": ("z",)}, ident)
+        goeritz.amalgam_assemble(goeritz.AmalgamData(a, b, edge))
+    with pytest.raises(ValueError, match="'g' is not a generator of both factors"):
+        # the edge generator g is missing from the second factor
+        wide = goeritz.Presentation(("a", "g"), (("a", "a"),), ("a",))
+        goeritz.amalgam_assemble(goeritz.AmalgamData(wide, edge, wide))
+
+
+def test_rules_read_off_the_presentations_match_the_oracle():
+    # same rules in the same order as the per-case rule list
+    for case in goeritz.CASES:
+        assert goeritz.rewrite_system(case).rules == rules_oracle(case)
 
 
 def test_rename_generators():
@@ -302,6 +308,16 @@ def test_local_confluence_failing_fixture():
     assert pairs
     words = {p.word for p in pairs}
     assert ("u", "v", "u") in words or ("v", "u", "v") in words
+
+
+def test_local_confluence_reports_an_inclusion_overlap():
+    # the left side v of the second rule lies inside u v w; rewriting
+    # u v w by either rule ends in a distinct irreducible word
+    fixture = goeritz.RewriteSystem(
+        ((("u", "v", "w"), ("x",)), (("v",), ("y",))), "length"
+    )
+    pairs = goeritz.check_local_confluence(fixture)
+    assert pairs == [goeritz.CriticalPair(("u", "v", "w"), ("x",), ("u", "y", "w"))]
 
 
 def sympy_invariants(rows):
