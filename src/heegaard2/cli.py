@@ -116,30 +116,17 @@ def _cmd_goeritz(args) -> int:
     presentation = goeritz.goeritz_presentation(args.case)
     if args.normal_form is not None:
         word = goeritz.parse_tokens(args.normal_form, args.case)
-        nf = goeritz.normal_form(args.case, word)
-        if args.format == "json":
-            print(json.dumps(
-                {"input": goeritz.format_tokens(word),
-                 "normal_form": goeritz.format_tokens(nf)},
-                sort_keys=True,
-            ))
-        else:
-            print(goeritz.format_tokens(nf))
-        return 0
-    if args.abelianization:
+        nf = goeritz.format_tokens(goeritz.normal_form(args.case, word))
+        payload = {"input": goeritz.format_tokens(word), "normal_form": nf}
+        text = nf
+    elif args.abelianization:
         inv = goeritz.abelianization(presentation)
-        if args.format == "json":
-            print(json.dumps(
-                {"free_rank": inv.free_rank, "torsion": list(inv.torsion)},
-                sort_keys=True,
-            ))
-        else:
-            print(_format_abelian(inv))
-        return 0
-    if args.format == "json":
-        print(json.dumps(goeritz.presentation_json(presentation), sort_keys=True))
+        payload = {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
+        text = _format_abelian(inv)
     else:
-        print(goeritz.presentation_text(presentation))
+        payload = goeritz.presentation_json(presentation)
+        text = goeritz.presentation_text(presentation)
+    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
     return 0
 
 

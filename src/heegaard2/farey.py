@@ -203,27 +203,27 @@ def stern_brocot_ball(depth: int) -> Complex:
 
 
 _SLOPE_LABEL = r"-?\d+/\d+"
-# the start of a line that is not a slope label; a lookahead, so a search
-# keeps no state from line to line
-_NOT_A_SLOPE = re.compile(rf"^(?!{_SLOPE_LABEL}$)", re.MULTILINE | re.ASCII)
+# a whole line that is a slope label, capturing the last digit before the /
+_SLOPE_LINE = re.compile(r"^-?\d*(\d)/\d+$", re.MULTILINE | re.ASCII)
 
 
 def f_odd_subcomplex(c: Complex) -> Complex:
     """Full subcomplex on the odd-numerator vertices.  Every vertex must
     have kind slope and a label n/d of decimal integers; parity is the
-    last digit before the ``/``.  One search over the newline-joined
-    labels checks them all; only a failure checks them one by one."""
+    last digit before the ``/``.  One regex pass over the joined labels
+    checks and reads them all; only a failure checks them one by one."""
     if {v.kind for v in c.vertices} - {KIND_SLOPE}:
         v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
         raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
     labels = "\n".join(map(itemgetter(2), c.vertices))
+    digits = _SLOPE_LINE.findall(labels)
     # a newline inside a label would split it into lines that each pass
     if c.vertices and (
-        labels.count("\n") >= len(c.vertices) or _NOT_A_SLOPE.search(labels)
+        labels.count("\n") >= len(c.vertices) or len(digits) != len(c.vertices)
     ):
         v = next(v for v in c.vertices if not re.fullmatch(_SLOPE_LABEL, v.label, re.ASCII))
         raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
-    keep = {v.id for v in c.vertices if v.label[v.label.find("/") - 1] in "13579"}
+    keep = {v.id for v, d in zip(c.vertices, digits) if d in "13579"}
     return complexes.induced(c, keep)
 
 

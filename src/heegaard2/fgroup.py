@@ -6,11 +6,14 @@ empty word prints as "1".  Cyclic words (curve words read off from a
 closed curve, well defined only up to rotation) are represented by a
 canonical form: the lexicographically least rotation of the free and
 cyclic reduction, under the fixed letter order x < X < y < Y.
+Cyclic subwords are read one way only: a cyclic subword of ``w`` is a
+match in the doubled word ``w + w``.
 
 Everything here is a pure function on immutable values, so all of it is
 safe to call concurrently.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -136,11 +139,9 @@ def letter_obstruction_reason(word: str) -> str | None:
         return "contains both x and X"
     if "y" in seen and "Y" in seen:
         return "contains both y and Y"
-    n = len(w)
-    if n >= 2:
-        pairs = {w[i] + w[(i + 1) % n] for i in range(n)}
-        if pairs & {"xx", "XX"} and pairs & {"yy", "YY"}:
-            return "contains a square of each generator"
+    d = w + w[:1]  # its letter pairs are the cyclic letter pairs of w
+    if re.search("xx|XX", d) and re.search("yy|YY", d):
+        return "contains a square of each generator"
     return None
 
 
@@ -156,31 +157,10 @@ def has_letter_obstruction(word: str) -> bool:
     return letter_obstruction_reason(word) is not None
 
 
-def _has_flanked_power(v: str) -> bool:
-    # cyclic subword x y^p X with p >= 1, literal letters
-    n = len(v)
-    if n < 3:
-        return False
-    d = v + v
-    for i in range(n):
-        if d[i] != "x":
-            continue
-        j = i + 1
-        while j < i + n and d[j] == "y":
-            j += 1
-        p = j - i - 1
-        if p >= 1 and p + 2 <= n and d[j] == "X":
-            return True
-    return False
-
-
-def _has_double_square(v: str) -> bool:
-    # cyclic subword xxyy, literal letters
-    n = len(v)
-    if n < 4:
-        return False
-    idx = (v + v).find("xxyy")
-    return 0 <= idx < n
+# cyclic subword x y^p X (p >= 1) or x x y y, literal letters, as a match in
+# v + v.  A match longer than v would have period len(v), and neither pattern
+# has a period shorter than itself, so p + 2 <= len(v) and len(v) >= 4 hold.
+_SUBWORD = re.compile("xy+X|xxyy")
 
 
 def has_subword_obstruction(word: str) -> bool:
@@ -194,10 +174,7 @@ def has_subword_obstruction(word: str) -> bool:
     the letter test fires as well.
     """
     w = cyclic_reduce(word)
-    return any(
-        _has_flanked_power(v) or _has_double_square(v)
-        for v in _sign_changes(w, w[::-1])
-    )
+    return any(_SUBWORD.search(v + v) for v in _sign_changes(w, w[::-1]))
 
 
 def _block_form(v: str) -> bool:
@@ -205,14 +182,12 @@ def _block_form(v: str) -> bool:
     # one sign of x throughout, only positive y, y-runs of two adjacent sizes
     if "Y" in v or ("x" in v and "X" in v):
         return False
-    n = len(v)
-    xs = [i for i, ch in enumerate(v) if ch in "xX"]
-    if not xs:
+    e = "X" if "X" in v else "x"
+    i = v.find(e)
+    if i < 0:
         return False
-    gaps = []
-    for k, i in enumerate(xs):
-        nxt = xs[(k + 1) % len(xs)]
-        gaps.append((nxt - i - 1) % n)
+    # the y-runs between cyclically consecutive x letters, from the first on
+    gaps = [len(run) for run in (v[i + 1 :] + v[:i]).split(e)]
     return max(gaps) - min(gaps) <= 1
 
 
@@ -307,11 +282,8 @@ def primitive_power_root(word: str) -> PrimitivityVerdict:
     n = len(c)
     if n == 0:
         return PrimitivityVerdict("trivial")
-    root, exponent = c, 1
-    for d in range(1, n):
-        if n % d == 0 and c[:d] * (n // d) == c:
-            root, exponent = c[:d], n // d
-            break
+    period = (c + c).find(c, 1)  # the least rotation fixing c; it divides n
+    root, exponent = c[:period], n // period
     if not is_primitive(root):
         return PrimitivityVerdict("neither")
     if exponent == 1:

@@ -255,11 +255,10 @@ def case_amalgam(case: str) -> AmalgamData:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """An ordered list of rules (left word -> right word, left never empty)
-    with a description of the termination order every rule decreases."""
+    """An ordered list of rules (left word -> right word, left never empty);
+    :func:`termination_measure` is the order every shipped rule decreases."""
 
     rules: tuple[tuple[Word, Word], ...]
-    order_note: str = ""
     # token -> (left side as a list, reversed right side) of each rule
     # whose left-hand side ends in that token, in rule order
     _index: dict = field(init=False, repr=False, compare=False)
@@ -293,11 +292,7 @@ def _build_rules(p: Presentation) -> RewriteSystem:
         movers += [tok for g in free if g not in ahead for tok in (g, g + "'")]
         for tok in movers:
             rules += [((tok, y), (y, tok)) for y in letters]
-    note = (
-        "lexicographic (d-before-b inversions, length, primed tokens, "
-        "positions of a, positions of t); every rule strictly decreases it"
-    )
-    return RewriteSystem(tuple(rules), note)
+    return RewriteSystem(tuple(rules))
 
 
 _SYSTEMS = {case: _build_rules(p) for case, p in _GOERITZ.items()}

@@ -36,6 +36,105 @@ def least_rotation_oracle(word):
     return min(rotations, key=lambda r: r.translate(_ORDER))
 
 
+# The hand-written cyclic-word scanners that ``fgroup`` replaced by
+# searches in the doubled word, kept verbatim as reference oracles.
+_SIGN_CHANGES = tuple(str.maketrans(s, s.swapcase()) for s in ("", "yY", "xX", "xXyY"))
+
+
+def _has_flanked_power(v: str) -> bool:
+    # cyclic subword x y^p X with p >= 1, literal letters
+    n = len(v)
+    if n < 3:
+        return False
+    d = v + v
+    for i in range(n):
+        if d[i] != "x":
+            continue
+        j = i + 1
+        while j < i + n and d[j] == "y":
+            j += 1
+        p = j - i - 1
+        if p >= 1 and p + 2 <= n and d[j] == "X":
+            return True
+    return False
+
+
+def _has_double_square(v: str) -> bool:
+    # cyclic subword xxyy, literal letters
+    n = len(v)
+    if n < 4:
+        return False
+    idx = (v + v).find("xxyy")
+    return 0 <= idx < n
+
+
+def subword_obstruction_oracle(word):
+    """``has_subword_obstruction`` by the two index-loop scanners."""
+    w = fgroup.cyclic_reduce(word)
+    return any(
+        _has_flanked_power(v) or _has_double_square(v)
+        for v in (u.translate(sign) for u in (w, w[::-1]) for sign in _SIGN_CHANGES)
+    )
+
+
+def letter_obstruction_reason_oracle(word):
+    """``letter_obstruction_reason`` by the set of n cyclic letter pairs."""
+    w = fgroup.cyclic_reduce(word)
+    seen = set(w)
+    if "x" in seen and "X" in seen:
+        return "contains both x and X"
+    if "y" in seen and "Y" in seen:
+        return "contains both y and Y"
+    n = len(w)
+    if n >= 2:
+        pairs = {w[i] + w[(i + 1) % n] for i in range(n)}
+        if pairs & {"xx", "XX"} and pairs & {"yy", "YY"}:
+            return "contains a square of each generator"
+    return None
+
+
+def _block_form(v: str) -> bool:
+    # cyclic product of blocks x^e y^n / x^e y^(n+1) with literal letters:
+    # one sign of x throughout, only positive y, y-runs of two adjacent sizes
+    if "Y" in v or ("x" in v and "X" in v):
+        return False
+    n = len(v)
+    xs = [i for i, ch in enumerate(v) if ch in "xX"]
+    if not xs:
+        return False
+    gaps = []
+    for k, i in enumerate(xs):
+        nxt = xs[(k + 1) % len(xs)]
+        gaps.append((nxt - i - 1) % n)
+    return max(gaps) - min(gaps) <= 1
+
+
+def block_form_oracle(word):
+    """``has_primitive_block_form`` by the index list and modular gaps."""
+    w = fgroup.cyclic_reduce(word)
+    if not w:
+        return False
+    return any(_block_form(v) for v in fgroup.letter_symmetries(w))
+
+
+def power_root_oracle(word):
+    """``primitive_power_root`` with the root found by the divisor loop."""
+    c = fgroup.cyclic_canonical(word)
+    n = len(c)
+    if n == 0:
+        return fgroup.PrimitivityVerdict("trivial")
+    root, exponent = c, 1
+    for d in range(1, n):
+        if n % d == 0 and c[:d] * (n // d) == c:
+            root, exponent = c[:d], n // d
+            break
+    if not fgroup.is_primitive(root):
+        return fgroup.PrimitivityVerdict("neither")
+    if exponent == 1:
+        return fgroup.PrimitivityVerdict("primitive")
+    return fgroup.PrimitivityVerdict("power-of-primitive", root, exponent)
+
+
 def tuple_rotation_equal(t1, t2):
     if len(t1) != len(t2):
         return False

@@ -1,9 +1,20 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heegaard2 import fgroup
-from helpers import cyclically_reduced_words, least_rotation_oracle
+from helpers import (
+    block_form_oracle,
+    cyclically_reduced_words,
+    least_rotation_oracle,
+    letter_obstruction_reason_oracle,
+    power_root_oracle,
+    subword_obstruction_oracle,
+)
 
 
 def test_parse_and_format():
@@ -223,3 +234,51 @@ def test_primitive_words_up_to_smallest():
     assert "xy" in words and "xY" in words
     assert all(len(w) <= 2 for w in words)
     assert fgroup.primitive_words_up_to(0) == set()
+
+
+def _doubled_word_answers(w):
+    return (
+        fgroup.letter_obstruction_reason(w),
+        fgroup.has_letter_obstruction(w),
+        fgroup.has_subword_obstruction(w),
+        fgroup.has_primitive_block_form(w),
+        fgroup.primitive_power_root(w),
+    )
+
+
+def _scanning_answers(w):
+    reason = letter_obstruction_reason_oracle(w)
+    return (
+        reason,
+        reason is not None,
+        subword_obstruction_oracle(w),
+        block_form_oracle(w),
+        power_root_oracle(w),
+    )
+
+
+def test_doubled_word_searches_match_scanning_oracles_on_all_words_up_to_8():
+    # every oracle begins by cyclically reducing its word, so one oracle
+    # call serves all the words with the same reduction
+    scanning = functools.cache(_scanning_answers)
+    words = ["".join(p) for n in range(9) for p in itertools.product("xXyY", repeat=n)]
+    assert len(words) == 87381
+    for w in words:
+        assert _doubled_word_answers(w) == scanning(fgroup.cyclic_reduce(w)), w
+
+
+@st.composite
+def run_words(draw):
+    """Words of up to 300 letters: a block of short and long letter runs,
+    repeated."""
+    run = st.tuples(st.sampled_from("xXyY"), st.integers(1, 3) | st.integers(1, 200))
+    block = "".join(ch * m for ch, m in draw(st.lists(run, min_size=1, max_size=8)))[:300]
+    return block * draw(st.integers(1, 300 // len(block)))
+
+
+@given(run_words())
+@example("x" * 200 + "y")
+@example("xxy" * 100)
+@example("xyxyy" * 60)
+def test_doubled_word_searches_match_scanning_oracles_on_long_run_words(w):
+    assert _doubled_word_answers(w) == _scanning_answers(w)

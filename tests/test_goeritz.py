@@ -301,9 +301,7 @@ def test_local_confluence_shipped_systems():
 
 def test_local_confluence_failing_fixture():
     # constructed to fail: u v -> v and v u -> u diverge on u v u
-    fixture = goeritz.RewriteSystem(
-        ((("u", "v"), ("v",)), (("v", "u"), ("u",))), "length"
-    )
+    fixture = goeritz.RewriteSystem(((("u", "v"), ("v",)), (("v", "u"), ("u",))))
     pairs = goeritz.check_local_confluence(fixture)
     assert pairs
     words = {p.word for p in pairs}
@@ -313,9 +311,7 @@ def test_local_confluence_failing_fixture():
 def test_local_confluence_reports_an_inclusion_overlap():
     # the left side v of the second rule lies inside u v w; rewriting
     # u v w by either rule ends in a distinct irreducible word
-    fixture = goeritz.RewriteSystem(
-        ((("u", "v", "w"), ("x",)), (("v",), ("y",))), "length"
-    )
+    fixture = goeritz.RewriteSystem(((("u", "v", "w"), ("x",)), (("v",), ("y",))))
     pairs = goeritz.check_local_confluence(fixture)
     assert pairs == [goeritz.CriticalPair(("u", "v", "w"), ("x",), ("u", "y", "w"))]
 
