@@ -8,11 +8,14 @@ and cone models).
 
 Exit codes: 0 success, 1 usage or validation error, 2 a verified
 invariant was violated (a check answered false, or the library raised
-anything but ``ValueError``, reported on one ``error:`` line).
+anything but ``ValueError``, reported on one ``error:`` line).  A stdout
+closed by its reader (as in ``| head -1``) is no failure: output stops
+quietly, with exit 0 unless a check has already answered false.
 """
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 
@@ -233,6 +236,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except BrokenPipeError:
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -242,7 +247,14 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the
+        # interpreter's own flush at exit has no pipe to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

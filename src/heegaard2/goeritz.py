@@ -29,10 +29,15 @@ stays irreducible, so only rules ending in the token just pushed are
 tried, and confluence makes the unique normal form independent of that
 strategy.  :func:`element_order` reuses it.  Stabilizers use the
 generator names of the whole group, so amalgams identify generators by name.
+
+Abelianizations read the invariant factors off the relator exponent
+matrix, diagonalized by integer row and column operations and then
+closed under gcd/lcm pairs into its Smith normal form.
 """
 
 from dataclasses import dataclass, field
 from itertools import groupby
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 Word = tuple[str, ...]
@@ -189,21 +194,6 @@ def stabilizer_presentation(which: str, case: str) -> Presentation:
     return _presentation(*_lookup(dict(zip(CASES, gens)), case))
 
 
-def rename_generators(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
-    """Presentation with generators renamed through ``mapping``."""
-
-    def ren(tok: str) -> str:
-        b = _base(tok)
-        out = mapping.get(b, b)
-        return out + "'" if tok.endswith("'") else out
-
-    return Presentation(
-        tuple(mapping.get(g, g) for g in p.generators),
-        tuple(tuple(ren(t) for t in r) for r in p.relators),
-        tuple(mapping.get(g, g) for g in p.central),
-    )
-
-
 class AmalgamData(NamedTuple):
     """Two vertex groups and an edge group, subgroups of one Goeritz group
     in its generator names; the edge group includes into both by name."""
@@ -221,9 +211,11 @@ def amalgam_assemble(data: AmalgamData) -> Presentation:
     """Presentation of the amalgamated free product.  The edge group
     includes into both vertex groups by generator name, so shared names
     are identified: generators and relators are the unions of the
-    factors' (duplicates dropped), central generators those central in
-    both.  A shared generator missing from the edge group, or an edge
-    generator missing from a factor, is a ValueError."""
+    factors' (duplicates dropped; each generator new in the second factor
+    goes just before the next generator the factors share), central
+    generators those central in both.  A shared generator missing from the
+    edge group, or an edge generator missing from a factor, is a
+    ValueError."""
     a, b, edge = data
     for g in a.generators:
         if g in b.generators and g not in edge.generators:
@@ -233,10 +225,14 @@ def amalgam_assemble(data: AmalgamData) -> Presentation:
     for g in edge.generators:
         if g not in a.generators or g not in b.generators:
             raise ValueError(f"edge generator {g!r} is not a generator of both factors")
-    generators = a.generators + tuple(g for g in b.generators if g not in a.generators)
+    generators = list(a.generators)
+    for k, g in enumerate(b.generators):
+        if g not in a.generators:
+            shared = [h for h in b.generators[k:] if h in a.generators]
+            generators.insert(generators.index(shared[0]) if shared else len(generators), g)
     relators = tuple(dict.fromkeys(a.relators + b.relators))
     central = tuple(g for g in a.central if g in b.central)
-    return Presentation(generators, relators, central)
+    return Presentation(tuple(generators), relators, central)
 
 
 def case_amalgam(case: str) -> AmalgamData:
@@ -246,7 +242,7 @@ def case_amalgam(case: str) -> AmalgamData:
     (of an ordered disk pair in case 2)."""
     vertex_a = stabilizer_presentation("disk", case)
     if case == "1a":
-        vertex_b = rename_generators(vertex_a, {"g1": "g2"})
+        vertex_b = _presentation("a", "b", "g2")
     else:
         vertex_b = stabilizer_presentation("disk_pair", case)
     edge = stabilizer_presentation("disk_disk" if case == "2" else "disk_sphere", case)
@@ -371,40 +367,28 @@ class CriticalPair(NamedTuple):
 
 def check_local_confluence(rs: RewriteSystem) -> list[CriticalPair]:
     """Enumerate all overlaps of left-hand sides, rewrite both
-    resolutions to irreducible form and report the mismatches.  An empty
-    list certifies unique normal forms for a terminating system."""
+    resolutions to irreducible form and report the mismatches, each once
+    and in the order first found.  An empty list certifies unique normal
+    forms for a terminating system."""
     rules = rs.rules
-    bad: list[CriticalPair] = []
-    seen: set[tuple[Word, Word, Word]] = set()
 
-    def record(word: Word, left: Word, right: Word) -> None:
-        if left != right and (word, left, right) not in seen:
-            seen.add((word, left, right))
-            bad.append(CriticalPair(word, left, right))
+    def overlaps() -> Iterable[tuple[Word, Word, Word]]:
+        # (overlap word, its left resolution, its right resolution)
+        for l1, r1 in rules:
+            for l2, r2 in rules:
+                for k in range(1, min(len(l1), len(l2)) + 1):
+                    if l1[len(l1) - k :] != l2[:k]:
+                        continue
+                    if k == len(l1) == len(l2) and (l1, r1) == (l2, r2):
+                        continue
+                    yield l1 + l2[k:], r1 + l2[k:], l1[: len(l1) - k] + r2
+                if len(l2) < len(l1):
+                    for i in range(len(l1) - len(l2) + 1):
+                        if l1[i : i + len(l2)] == l2:
+                            yield l1, r1, l1[:i] + r2 + l1[i + len(l2) :]
 
-    for l1, r1 in rules:
-        for l2, r2 in rules:
-            limit = min(len(l1), len(l2))
-            for k in range(1, limit + 1):
-                if l1[len(l1) - k :] != l2[:k]:
-                    continue
-                if k == len(l1) == len(l2) and (l1, r1) == (l2, r2):
-                    continue
-                word = l1 + l2[k:]
-                record(
-                    word,
-                    rewrite(r1 + l2[k:], rs),
-                    rewrite(l1[: len(l1) - k] + r2, rs),
-                )
-            if len(l2) < len(l1):
-                for i in range(len(l1) - len(l2) + 1):
-                    if l1[i : i + len(l2)] == l2:
-                        record(
-                            l1,
-                            rewrite(r1, rs),
-                            rewrite(l1[:i] + r2 + l1[i + len(l2) :], rs),
-                        )
-    return bad
+    pairs = (CriticalPair(w, rewrite(x, rs), rewrite(y, rs)) for w, x, y in overlaps())
+    return list(dict.fromkeys(p for p in pairs if p.left_result != p.right_result))
 
 
 class AbelianInvariants(NamedTuple):
@@ -416,54 +400,35 @@ class AbelianInvariants(NamedTuple):
 
 
 def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix, with the
-    divisibility chain enforced."""
+    """Nonzero diagonal of the Smith normal form of an integer matrix with
+    ``ncols`` columns, each entry dividing the next.  First diagonalize:
+    pivot on a least nonzero entry and clear its row and column by integer
+    division, a nonzero remainder being the next, smaller pivot; once both
+    are clear, record |p| and drop them.  Then close the diagonal under
+    gcd/lcm pairs, which is the Smith form of a diagonal matrix."""
     a = [list(r) for r in rows]
-    nrows = len(a)
+    cols = list(range(ncols))
     diag: list[int] = []
-    top = 0
-    while top < nrows and top < ncols:
-        piv = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        if j0 != top:
-            for row in a:
-                row[top], row[j0] = row[j0], row[top]
-        p = a[top][top]
-        dirty = False
-        for i in range(top + 1, nrows):
-            q = a[i][top] // p
-            if q:
-                for j in range(top, ncols):
-                    a[i][j] -= q * a[top][j]
-            if a[i][top]:
-                dirty = True
-        for j in range(top + 1, ncols):
-            q = a[top][j] // p
-            if q:
-                for i in range(top, nrows):
-                    a[i][j] -= q * a[i][top]
-            if a[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(top + 1, nrows):
-            if any(a[i][j] % p for j in range(top + 1, ncols)):
-                offender = i
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                a[top][j] += a[offender][j]
-            continue
-        diag.append(abs(p))
-        top += 1
+    while nonzero := [(abs(r[j]), i, j) for i, r in enumerate(a) for j in cols if r[j]]:
+        _, i, j = min(nonzero)
+        pivot_row, p = a[i], a[i][j]
+        for r in a:
+            if r is not pivot_row:
+                q = r[j] // p
+                for k in cols:
+                    r[k] -= q * pivot_row[k]
+        for k in cols:
+            if k != j:
+                q = pivot_row[k] // p
+                for r in a:
+                    r[k] -= q * r[j]
+        if [pivot_row[k] for k in cols if pivot_row[k]] == [p] == [r[j] for r in a if r[j]]:
+            diag.append(abs(p))
+            del a[i]
+            cols.remove(j)
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            diag[i], diag[k] = gcd(diag[i], diag[k]), lcm(diag[i], diag[k])
     return diag
 
 

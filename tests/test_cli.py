@@ -1,7 +1,12 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import heegaard2
 from heegaard2 import cli, farey, goeritz
 
 
@@ -224,6 +229,32 @@ def test_internal_error_exits_2_with_one_line(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err == "error: AssertionError: expected one new apex on edge 1/0-1/1 second line\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_0_without_an_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["farey", "--max-depth", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_at_once_ends_the_cli_quietly():
+    src = os.path.dirname(os.path.dirname(heegaard2.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["farey", "--max-depth", "10", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heegaard2.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_farey_negative_depth(capsys):

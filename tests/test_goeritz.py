@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -121,9 +123,8 @@ def test_amalgams_reproduce_presentations():
     for case in goeritz.CASES:
         assembled = goeritz.amalgam_assemble(goeritz.case_amalgam(case))
         target = goeritz.goeritz_presentation(case)
-        assert set(assembled.generators) == set(target.generators)
-        assert set(assembled.relators) == set(target.relators)
-        assert set(assembled.central) == set(target.central)
+        # generators, relators and central generators as ordered tuples
+        assert assembled == target
         assert goeritz.abelianization(assembled) == goeritz.abelianization(target)
         # every assembled relator is trivial in the case group
         for r in assembled.relators:
@@ -147,13 +148,6 @@ def test_rules_read_off_the_presentations_match_the_oracle():
     # same rules in the same order as the per-case rule list
     for case in goeritz.CASES:
         assert goeritz.rewrite_system(case).rules == rules_oracle(case)
-
-
-def test_rename_generators():
-    disk = goeritz.stabilizer_presentation("disk", "1a")
-    renamed = goeritz.rename_generators(disk, {"g1": "g2"})
-    assert renamed.generators == ("a", "b", "g2")
-    assert ("g2", "g2") in renamed.relators
 
 
 def test_normal_form_examples():
@@ -356,6 +350,8 @@ def test_abelianizations():
 def test_abelianization_free_group():
     free = goeritz.Presentation(("b",), ())
     assert goeritz.abelianization(free) == ((), 1)
+    free = goeritz.Presentation(("a", "b", "g"), ())
+    assert goeritz.abelianization(free) == ((), 3)
 
 
 def test_smith_diagonal_random_matrices_against_sympy():
@@ -368,3 +364,34 @@ def test_smith_diagonal_random_matrices_against_sympy():
             ]
             mine = goeritz._smith_diagonal(rows, cols_n)
             assert [d for d in mine if d != 0] == sympy_invariants(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, diagonal",
+    [
+        # diagonal but not yet a divisibility chain: the gcd/lcm closure
+        ([[2, 0], [0, 3]], 2, [1, 6]),
+        ([[4, 0], [0, 6]], 2, [2, 12]),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 3, [1, 30, 30]),
+        ([[0, 0, 0], [0, 0, 0]], 3, []),
+        ([], 4, []),
+    ],
+)
+def test_smith_diagonal_closes_the_divisibility_chain(rows, ncols, diagonal):
+    assert goeritz._smith_diagonal(rows, ncols) == diagonal
+    assert diagonal == sympy_invariants(rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows_n = draw(st.integers(0, 6))
+    cols_n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))  # many zeros
+    row = st.lists(entry, min_size=cols_n, max_size=cols_n)
+    return draw(st.lists(row, min_size=rows_n, max_size=rows_n)), cols_n
+
+
+@given(sparse_matrices())
+def test_smith_diagonal_sparse_matrices_against_sympy(matrix):
+    rows, cols_n = matrix
+    assert goeritz._smith_diagonal(rows, cols_n) == sympy_invariants(rows)
