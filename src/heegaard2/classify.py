@@ -13,34 +13,43 @@ q' = q or q q' = 1 (mod p); this criterion is standard material, not
 established here.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(namedtuple("Lens", "p q")):
     """A genuine lens space L(p, q): p >= 2, 1 <= q < p, gcd(p, q) = 1.
     The degenerate cases L(1, 0) and L(0, 1) are excluded."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        if not 1 <= self.q < self.p:
-            raise ValueError(f"require 1 <= q < p, got q={self.q}, p={self.p}")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"p={self.p} and q={self.q} are not coprime")
+    def __new__(cls, p: int, q: int):
+        if p < 2:
+            raise ValueError(f"p must be at least 2, got {p}")
+        if not 1 <= q < p:
+            raise ValueError(f"require 1 <= q < p, got q={q}, p={p}")
+        if gcd(p, q) != 1:
+            raise ValueError(f"p={p} and q={q} are not coprime")
+        return super().__new__(cls, p, q)
 
     def __str__(self) -> str:
         return f"lens:{self.p},{self.q}"
 
 
-@dataclass(frozen=True)
 class S2xS1:
-    """The S^2 x S^1 summand."""
+    """The S^2 x S^1 summand; it has no parameters, so all are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, S2xS1)
+
+    def __hash__(self) -> int:
+        return hash(S2xS1)
+
+    def __repr__(self) -> str:
+        return "S2xS1()"
 
     def __str__(self) -> str:
         return "s2xs1"
@@ -87,8 +96,7 @@ def oriented_lens_homeomorphic(a: Lens, b: Lens) -> bool:
     return a.p == b.p and (a.q == b.q or a.q * b.q % a.p == 1)
 
 
-@dataclass(frozen=True)
-class SplittingDescriptor:
+class SplittingDescriptor(NamedTuple):
     """One genus-two splitting of the connected sum: its case tag
     ("1a" or "1b" for lens # lens, "2" with an S^2 x S^1 summand) and
     whether it is the symmetric one."""

@@ -14,12 +14,12 @@ quietly, with exit 0 unless a check has already answered false.
 """
 
 import argparse
-import json
 import os
 import sys
 from itertools import groupby
 
-from . import classify, complexes, farey, fgroup, goeritz, surgery
+# Each command imports its library modules when it runs, so start-up pays only
+# for those, and calls them as module attributes, so patches of them apply.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,18 +35,23 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _print_complex(cpx, fmt: str) -> None:
+def _print_json(payload) -> None:
+    import json
+    print(json.dumps(payload, sort_keys=True))
+
+
+def _print_complex(cpx, fmt: str, last_line: str) -> None:
+    from . import complexes
     if fmt == "dot":
         print(complexes.to_dot(cpx))
     elif fmt == "json":
-        print(json.dumps(complexes.to_json(cpx), sort_keys=True))
+        _print_json(complexes.to_json(cpx))
     else:
-        print(f"vertices: {len(cpx.vertices)}")
-        print(f"edges: {len(cpx.edges)}")
-        print(f"triangles: {len(cpx.triangles)}")
+        print(f"vertices: {len(cpx.vertices)}\nedges: {len(cpx.edges)}\n{last_line}")
 
 
 def _cmd_words(args) -> int:
+    from . import fgroup, surgery
     params = surgery.SplittingParams(args.p1, args.q1, args.p2, args.q2)
     if args.index is not None:
         items = [(args.index, surgery.surgery_word(params, args.index))]
@@ -54,8 +59,7 @@ def _cmd_words(args) -> int:
         items = list(enumerate(surgery.surgery_sequence(params), start=1))
     if args.format == "json":
         records = [{"i": i, "word": fgroup.format_word(w)} for i, w in items]
-        payload = records[0] if args.index is not None else records
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(records[0] if args.index is not None else records)
     else:
         for _, w in items:
             print(fgroup.format_word(w))
@@ -63,6 +67,7 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_primitive(args) -> int:
+    from . import fgroup
     word = fgroup.parse_word(args.word)
     verdict = fgroup.primitive_power_root(word)
     if verdict.kind == "power-of-primitive":
@@ -85,17 +90,13 @@ def _cmd_primitive(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify
     m1 = classify.parse_summand(args.m1)
     m2 = classify.parse_summand(args.m2)
     descriptors = classify.splittings(m1, m2)
     if args.format == "json":
-        payload = {
-            "count": len(descriptors),
-            "splittings": [
-                {"case": d.case, "symmetric": d.symmetric} for d in descriptors
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        splittings = [{"case": d.case, "symmetric": d.symmetric} for d in descriptors]
+        _print_json({"count": len(descriptors), "splittings": splittings})
     else:
         print(f"count: {len(descriptors)}")
         for d in descriptors:
@@ -103,12 +104,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _format_abelian(inv: goeritz.AbelianInvariants) -> str:
-    parts = []
-    if inv.free_rank == 1:
-        parts.append("Z")
-    elif inv.free_rank > 1:
-        parts.append(f"Z^{inv.free_rank}")
+def _format_abelian(inv) -> str:
+    rank = inv.free_rank
+    parts = ["Z" if rank == 1 else f"Z^{rank}"] if rank else []
     for n, run in groupby(inv.torsion):
         k = len(list(run))
         parts.append(f"Z/{n}" + (f"^{k}" if k > 1 else ""))
@@ -116,6 +114,7 @@ def _format_abelian(inv: goeritz.AbelianInvariants) -> str:
 
 
 def _cmd_goeritz(args) -> int:
+    from . import goeritz
     presentation = goeritz.goeritz_presentation(args.case)
     if args.normal_form is not None:
         word = goeritz.parse_tokens(args.normal_form, args.case)
@@ -129,11 +128,15 @@ def _cmd_goeritz(args) -> int:
     else:
         payload = goeritz.presentation_json(presentation)
         text = goeritz.presentation_text(presentation)
-    print(json.dumps(payload, sort_keys=True) if args.format == "json" else text)
+    if args.format == "json":
+        _print_json(payload)
+    else:
+        print(text)
     return 0
 
 
 def _cmd_farey(args) -> int:
+    from . import complexes, farey
     if args.max_depth < 0:
         raise ValueError("--max-depth must be non-negative")
     if args.check_tree and not args.odd:
@@ -147,36 +150,23 @@ def _cmd_farey(args) -> int:
         print(f"forest: {_bool(forest_ok)}")
         print(f"connected to 1/0 within depth+2: {_bool(reach_ok)}")
         return 0 if forest_ok and reach_ok else 2
-    _print_complex(cpx, args.format)
+    _print_complex(cpx, args.format, f"triangles: {len(cpx.triangles)}")
     return 0
 
 
 def _cmd_sphere_complex(args) -> int:
+    from . import complexes
     if args.cone is not None:
         cpx = complexes.sp_cone_model(args.cone)
         verdict, ok = "cone", complexes.cone_check(cpx)
     else:
-        missing = [
-            name
-            for name, value in (
-                ("--blacks", args.blacks),
-                ("--whites-per-black", args.whites_per_black),
-                ("--farey-depth", args.farey_depth),
-            )
-            if value is None
-        ]
-        if missing:
+        flags = {"--blacks": args.blacks, "--whites-per-black": args.whites_per_black,
+                 "--farey-depth": args.farey_depth}
+        if missing := [flag for flag, value in flags.items() if value is None]:
             raise ValueError(f"missing {', '.join(missing)} (or use --cone)")
-        cpx = complexes.haken_complex_model(
-            args.blacks, args.whites_per_black, args.farey_depth
-        )
+        cpx = complexes.haken_complex_model(args.blacks, args.whites_per_black, args.farey_depth)
         verdict, ok = "tree", complexes.is_tree(cpx)
-    if args.format in ("dot", "json"):
-        _print_complex(cpx, args.format)
-    else:
-        print(f"vertices: {len(cpx.vertices)}")
-        print(f"edges: {len(cpx.edges)}")
-        print(f"{verdict}: {_bool(ok)}")
+    _print_complex(cpx, args.format, f"{verdict}: {_bool(ok)}")
     return 0 if ok else 2
 
 
@@ -204,7 +194,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("goeritz", help="Goeritz presentations and word problems")
-    p.add_argument("--case", choices=goeritz.CASES, required=True)
+    p.add_argument("--case", required=True)
     p.add_argument("--normal-form", dest="normal_form", default=None,
                    help='token word, e.g. "d b d"')
     p.add_argument("--abelianization", action="store_true")

@@ -8,8 +8,7 @@ triangle layer.  Complexes are immutable after construction and every
 operation here is pure.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -33,14 +32,11 @@ def _vertices(ids: Iterable[int], kind: str, labels: Iterable[str]) -> Iterator[
     return map(tuple.__new__, repeat(Vertex), zip(ids, repeat(kind), labels))
 
 
-@dataclass(frozen=True)
-class Complex:
-    vertices: tuple[Vertex, ...]
-    edges: frozenset[tuple[int, int]]
-    triangles: frozenset[tuple[int, int, int]] = frozenset()
+class Complex(namedtuple("Complex", "vertices edges triangles")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        vertices, edges, triangles = self.vertices, self.edges, self.triangles
+    def __new__(cls, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
+                triangles: frozenset[tuple[int, int, int]] = frozenset()):
         idset = set(map(itemgetter(0), vertices))
         if len(idset) != len(vertices):
             raise ValueError("duplicate vertex ids")
@@ -60,6 +56,7 @@ class Complex:
                 for e in ((a, b), (a, c), (b, c)):
                     if e not in edges:
                         raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
+        return super().__new__(cls, vertices, edges, triangles)
 
 
 def make_complex(

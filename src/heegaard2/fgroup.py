@@ -14,8 +14,7 @@ safe to call concurrently.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 ALPHABET = "xXyY"
 
@@ -261,8 +260,7 @@ def is_primitive(word: str) -> bool:
             return False
 
 
-@dataclass(frozen=True)
-class PrimitivityVerdict:
+class PrimitivityVerdict(NamedTuple):
     """Classification of a word: trivial, primitive, a proper power of a
     primitive element (with its root and exponent), or neither."""
 

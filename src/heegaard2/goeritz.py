@@ -35,7 +35,7 @@ matrix, diagonalized by integer row and column operations and then
 closed under gcd/lcm pairs into its Smith normal form.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
@@ -86,23 +86,22 @@ def format_tokens(word: Word) -> str:
     return " ".join(word) if word else "1"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relators central")):
     """Generators, relator words and the generators marked central."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    central: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        for r in self.relators:
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...],
+                central: tuple[str, ...] = ()):
+        gens = set(generators)
+        for r in relators:
             for tok in r:
                 if _base(tok) not in gens:
                     raise ValueError(f"relator token {tok!r} uses no declared generator")
-        for g in self.central:
+        for g in central:
             if g not in gens:
                 raise ValueError(f"central generator {g!r} is not declared")
+        return super().__new__(cls, generators, relators, central)
 
 
 def _collapse_runs(word: Word) -> str:
@@ -249,23 +248,34 @@ def case_amalgam(case: str) -> AmalgamData:
     return AmalgamData(vertex_a, vertex_b, edge)
 
 
-@dataclass(frozen=True)
 class RewriteSystem:
     """An ordered list of rules (left word -> right word, left never empty);
     :func:`termination_measure` is the order every shipped rule decreases."""
 
-    rules: tuple[tuple[Word, Word], ...]
-    # token -> (left side as a list, reversed right side) of each rule
-    # whose left-hand side ends in that token, in rule order
-    _index: dict = field(init=False, repr=False, compare=False)
+    # _index: token -> (left side as a list, reversed right side) of each
+    # rule whose left-hand side ends in that token, in rule order
+    __slots__ = ("rules", "_index")
 
-    def __post_init__(self):
+    def __init__(self, rules: tuple[tuple[Word, Word], ...]):
         index: dict[str, list[tuple[list[str], Word]]] = {}
-        for lhs, rhs in self.rules:
+        for lhs, rhs in rules:
             if not lhs:
                 raise ValueError(f"rule {lhs!r} -> {rhs!r} has an empty left-hand side")
             index.setdefault(lhs[-1], []).append((list(lhs), rhs[::-1]))
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.rules == other.rules if isinstance(other, RewriteSystem) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __repr__(self) -> str:
+        return f"RewriteSystem(rules={self.rules!r})"
 
 
 def _build_rules(p: Presentation) -> RewriteSystem:

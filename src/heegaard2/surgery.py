@@ -9,29 +9,26 @@ The sequence starts at x^p2 y^p1 and ends at (x^p2 y)^p1, which is a
 power of the primitive element x^p2 y.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fgroup
 from .classify import Lens
 
 
-@dataclass(frozen=True)
-class SplittingParams:
+class SplittingParams(namedtuple("SplittingParams", "p1 q1 p2 q2")):
     """Coprime lens parameters (p1, q1) and (p2, q2), with p >= 2 and
     1 <= q < p on each side; each side is validated as a
     :class:`classify.Lens`."""
 
-    p1: int
-    q1: int
-    p2: int
-    q2: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for side, (p, q) in enumerate(((self.p1, self.q1), (self.p2, self.q2)), 1):
+    def __new__(cls, p1: int, q1: int, p2: int, q2: int = 1):
+        for side, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):
             try:
                 Lens(p, q)
             except ValueError as err:
                 raise ValueError(f"summand {side}: {err}") from None
+        return super().__new__(cls, p1, q1, p2, q2)
 
 
 def gap_pattern(params: SplittingParams, i: int) -> tuple[int, ...]:

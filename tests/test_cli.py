@@ -242,13 +242,16 @@ def test_closed_stdout_exits_0_without_an_error_line(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def _fresh_env():
+    """The environment for a fresh interpreter that imports this heegaard2."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heegaard2.__file__)))
+
+
 def test_reader_closing_at_once_ends_the_cli_quietly():
-    src = os.path.dirname(os.path.dirname(heegaard2.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     argv = ["farey", "--max-depth", "10", "--format", "json"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "heegaard2.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
     )
     proc.stdout.close()  # the reader leaves before the first byte
     err = proc.stderr.read()
@@ -367,3 +370,64 @@ def test_deterministic_output(capsys):
     _, third, _ = run(capsys, "goeritz", "--case", "1b", "--format", "json")
     _, fourth, _ = run(capsys, "goeritz", "--case", "1b", "--format", "json")
     assert third == fourth
+
+
+def test_goeritz_unknown_case_is_one_error_line(capsys):
+    code, out, err = run(capsys, "goeritz", "--case", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unknown case '3'; expected one of ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _fresh_imports(*args):
+    """Names of the modules a fresh ``python -X importtime ARGS`` imports,
+    read off the import-time log, which records every import statement."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+        env=_fresh_env(),
+    )
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["primitive", "xy"], {"fgroup"}),
+        (["words", "--p1", "5", "--q1", "2", "--p2", "3"], {"classify", "fgroup", "surgery"}),
+        (["classify", "--m1", "lens:5,2", "--m2", "s2xs1"], {"classify"}),
+        (["goeritz", "--case", "1a", "--abelianization"], {"goeritz"}),
+        (["farey", "--max-depth", "3", "--odd"], {"complexes", "farey"}),
+        (["sphere-complex", "--cone", "3"], {"complexes"}),
+        (["sphere-complex", "--blacks", "2", "--whites-per-black", "2", "--farey-depth", "3"],
+         {"complexes", "farey"}),
+    ],
+)
+def test_cli_child_imports_only_its_subcommands_modules(argv, needed):
+    baseline = _fresh_imports("-c", "pass")
+    loaded = _fresh_imports("-m", "heegaard2.cli", *argv) - baseline
+    assert {m for m in loaded if m.startswith("heegaard2.")} == {f"heegaard2.{m}" for m in needed}
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+def test_package_loads_submodules_on_first_access():
+    code = (
+        "import sys, heegaard2\n"
+        "assert not [m for m in sys.modules if m.startswith('heegaard2.')]\n"
+        "assert heegaard2.goeritz.CASES == ('1a', '1b', '2')\n"
+        "from heegaard2 import fgroup\n"
+        "assert fgroup is sys.modules['heegaard2.fgroup']\n"
+        "try:\n"
+        "    heegaard2.nonsense\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'heegaard2' has no attribute 'nonsense'\n"

@@ -51,7 +51,7 @@ def test_goeritz_presentations():
 
 
 def test_presentations_equal_literal_reference():
-    # dataclass equality: generators, relators in order, central generators
+    # record equality: generators, relators in order, central generators
     for case in goeritz.CASES:
         assert goeritz.goeritz_presentation(case) == GOERITZ_REFERENCE[case]
         assert set(STABILIZER_REFERENCE[case]) == set(goeritz.STABILIZERS)
