@@ -23,6 +23,7 @@ class Lens(namedtuple("Lens", "p q")):
     The degenerate cases L(1, 0) and L(0, 1) are excluded."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
 
     def __new__(cls, p: int, q: int):
         if p < 2:
@@ -63,8 +64,7 @@ def parse_summand(text: str) -> Summand:
     if text == "s2xs1":
         return S2xS1()
     if text.startswith("lens:"):
-        body = text[len("lens:") :]
-        parts = body.split(",")
+        parts = text[len("lens:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"expected lens:p,q, got {text!r}")
         try:

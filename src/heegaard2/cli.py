@@ -82,10 +82,7 @@ def _cmd_primitive(args) -> int:
     else:
         print("neither")
         reason = fgroup.letter_obstruction_reason(word)
-        if reason is not None:
-            print(f"criterion: {reason}")
-        else:
-            print("criterion: whitehead reduction stops above length 1")
+        print(f"criterion: {reason or 'whitehead reduction stops above length 1'}")
     return 0
 
 

@@ -34,6 +34,7 @@ def _vertices(ids: Iterable[int], kind: str, labels: Iterable[str]) -> Iterator[
 
 class Complex(namedtuple("Complex", "vertices edges triangles")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
 
     def __new__(cls, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
                 triangles: frozenset[tuple[int, int, int]] = frozenset()):

@@ -79,11 +79,12 @@ def free_reduce(word: str) -> str:
 
 
 def cyclic_reduce(word: str) -> str:
-    """Freely reduce, then strip inverse first/last pairs."""
+    """Freely reduce, then strip inverse first/last pairs in one inward walk."""
     w = free_reduce(word)
-    while len(w) >= 2 and w[0] == _INVERSE[w[-1]]:
-        w = w[1:-1]
-    return w
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == _INVERSE[w[j]]:
+        i, j = i + 1, j - 1
+    return w[i : j + 1]
 
 
 def cyclic_canonical(word: str) -> str:

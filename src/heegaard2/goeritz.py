@@ -27,7 +27,7 @@ forms are unique and word equality is decidable.
 One stack engine, :func:`rewrite`, applies every rule set here: its stack
 stays irreducible, so only rules ending in the token just pushed are
 tried, and confluence makes the unique normal form independent of that
-strategy.  :func:`element_order` reuses it.  Stabilizers use the
+strategy.  :func:`element_order` decides orders exactly.  Stabilizers use the
 generator names of the whole group, so amalgams identify generators by name.
 
 Abelianizations read the invariant factors off the relator exponent
@@ -90,6 +90,7 @@ class Presentation(namedtuple("Presentation", "generators relators central")):
     """Generators, relator words and the generators marked central."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
 
     def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...],
                 central: tuple[str, ...] = ()):
@@ -459,16 +460,15 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 def element_order(case: str, word: Word, cutoff: int = 64) -> int | None:
-    """Order of the element, probing powers up to ``cutoff``; None means
-    no torsion was found up to the cutoff (not a proof of infinite
-    order).  The reduced power stays on the rewriting stack and each step
-    pushes one more copy of the normal form onto it."""
+    """The order of the element if it is at most ``cutoff``, else None; the
+    identity has order 1 at every cutoff.  A torsion element w has w^2 = 1, so
+    the normal form of w^2 decides the order: C = <a> (<a, t> in case 2) is
+    central, G/C is the free product Z * Z/2 * Z/2 (Z/2 * (Z x Z/2) in case
+    1b), and torsion in a free product is conjugate into a factor (Magnus,
+    Karrass and Solitar, Combinatorial Group Theory, Section 4.1).  So w is
+    u x c u^-1 with x = 1 or an involution and c in C, and c^2 is 1 or t^2k."""
     nf = normal_form(case, word)
     if not nf:
         return 1
-    index = rewrite_system(case)._index
-    power: list[str] = []
-    for k in range(1, cutoff + 1):
-        if not _push(power, nf, index):
-            return k
-    return None
+    square = _push(list(nf), nf, rewrite_system(case)._index)
+    return None if square or cutoff < 2 else 2

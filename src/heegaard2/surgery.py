@@ -21,6 +21,7 @@ class SplittingParams(namedtuple("SplittingParams", "p1 q1 p2 q2")):
     :class:`classify.Lens`."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
 
     def __new__(cls, p1: int, q1: int, p2: int, q2: int = 1):
         for side, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):

@@ -1,6 +1,8 @@
 """Shared test utilities: exhaustive word enumeration and independent
 oracles kept deliberately separate from the library implementations."""
 
+from functools import partial
+
 from heegaard2 import complexes, farey, fgroup
 from heegaard2.goeritz import Presentation
 
@@ -25,6 +27,15 @@ def cyclically_reduced_words(max_len):
 
     for n in range(1, max_len + 1):
         yield from build([], n)
+
+
+def cyclic_reduce_oracle(word):
+    """``cyclic_reduce`` by re-slicing: strip one inverse first/last pair
+    at a time, copying the rest of the word each time."""
+    w = fgroup.free_reduce(word)
+    while len(w) >= 2 and w[0] == _INV[w[-1]]:
+        w = w[1:-1]
+    return w
 
 
 def least_rotation_oracle(word):
@@ -244,6 +255,26 @@ def rewrite_oracle(word, rules):
         else:
             i += 1
     return tuple(w)
+
+
+def oracle_order(case, word, cutoff, normal_form=None):
+    """``element_order`` by probing powers: the least k <= cutoff with
+    w^k = 1, else None; the identity has order 1 at every cutoff.  Each
+    power is rewritten from scratch by ``normal_form`` (by default the
+    scan-and-splice oracle on the case's rules)."""
+    from heegaard2 import goeritz
+
+    if normal_form is None:
+        normal_form = partial(rewrite_oracle, rules=goeritz.rewrite_system(case).rules)
+    nf = normal_form(word)
+    if not nf:
+        return 1
+    power = ()
+    for k in range(1, cutoff + 1):
+        power = normal_form(power + nf)
+        if not power:
+            return k
+    return None
 
 
 def rules_oracle(case):

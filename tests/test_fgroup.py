@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heegaard2 import fgroup
 from helpers import (
     block_form_oracle,
+    cyclic_reduce_oracle,
     cyclically_reduced_words,
     least_rotation_oracle,
     letter_obstruction_reason_oracle,
@@ -39,6 +40,20 @@ def test_free_reduce_idempotent_and_shortening():
         r = fgroup.free_reduce(w)
         assert fgroup.free_reduce(r) == r
         assert len(r) <= len(w)
+
+
+letter_words = st.text(alphabet="xXyY", max_size=40)
+
+
+@given(letter_words, letter_words)
+@example("xy" * 50, "x")
+@example("xyX", "")
+@example("", "xX")
+def test_cyclic_reduce_of_conjugates_matches_slicing_oracle(u, w):
+    conjugate = u + w + fgroup.invert(u)
+    reduced = fgroup.cyclic_reduce(conjugate)
+    assert reduced == cyclic_reduce_oracle(conjugate)
+    assert fgroup.cyclic_canonical(reduced) == fgroup.cyclic_canonical(w)
 
 
 def test_cyclic_canonical_matches_rotation_oracle():

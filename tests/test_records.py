@@ -10,6 +10,18 @@ from heegaard2.goeritz import Presentation, RewriteSystem
 from heegaard2.surgery import SplittingParams
 
 
+def assert_rebuilds_validate(record, field, bad, message):
+    """``_replace`` and ``_make`` run the record's validation: a valid
+    rebuild is equal to the record, and ``field`` set to ``bad`` raises."""
+    assert record._replace() == record == type(record)._make(record)
+    assert type(record._make(record)) is type(record)
+    fields = record._asdict() | {field: bad}
+    for rebuild in (lambda: record._replace(**{field: bad}),
+                    lambda: type(record)._make(fields.values())):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rebuild()
+
+
 def assert_value_semantics(make, other, field):
     """``make()`` builds equal, equally hashed records, unequal to
     ``other``, whose ``field`` cannot be assigned."""
@@ -42,6 +54,9 @@ def test_lens():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Lens(*args)
+    assert_rebuilds_validate(Lens(5, 2), "q", 5, "require 1 <= q < p, got q=5, p=5")
+    with pytest.raises(ValueError, match="^p=4 and q=2 are not coprime$"):
+        Lens._make((4, 2))
 
 
 def test_lens_compares_as_a_tuple():
@@ -74,6 +89,9 @@ def test_splitting_params():
         SplittingParams(1, 1, 3)
     with pytest.raises(ValueError, match="^summand 2: p=4 and q=2 are not coprime$"):
         SplittingParams(5, 2, 4, 2)
+    assert_rebuilds_validate(
+        SplittingParams(5, 2, 3), "q2", 3, "summand 2: require 1 <= q < p, got q=3, p=3"
+    )
 
 
 def test_presentation():
@@ -87,6 +105,10 @@ def test_presentation():
         Presentation(("a",), (("a", "c"),))
     with pytest.raises(ValueError, match="^central generator 'z' is not declared$"):
         Presentation(("a",), (), ("z",))
+    assert_rebuilds_validate(
+        Presentation(("a", "b"), (("a", "a"),), ("b",)), "central", ("z",),
+        "central generator 'z' is not declared",
+    )
 
 
 def test_complex():
@@ -103,6 +125,7 @@ def test_complex():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Complex(*args)
+    assert_rebuilds_validate(Complex(vs, es), "edges", frozenset({(0, 7)}), r"bad edge \(0, 7\)")
 
 
 def test_rewrite_system():
