@@ -13,6 +13,7 @@ q' = q or q q' = 1 (mod p); this criterion is standard material, not
 established here.
 """
 
+import re
 from collections import namedtuple
 from math import gcd
 from typing import NamedTuple, Union
@@ -60,18 +61,16 @@ Summand = Union[Lens, S2xS1]
 
 
 def parse_summand(text: str) -> Summand:
-    """Parse "lens:p,q" or "s2xs1"."""
+    """Parse "lens:p,q", with p and q ASCII decimal integers, or "s2xs1"."""
     if text == "s2xs1":
         return S2xS1()
     if text.startswith("lens:"):
         parts = text[len("lens:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"expected lens:p,q, got {text!r}")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError:
+        if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
             raise ValueError(f"expected integer lens parameters, got {text!r}")
-        return Lens(p, q)
+        return Lens(*map(int, parts))
     raise ValueError(f"unknown summand {text!r}; use lens:p,q or s2xs1")
 
 

@@ -133,20 +133,17 @@ def _cmd_goeritz(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    from . import complexes, farey
+    from . import farey
     if args.max_depth < 0:
         raise ValueError("--max-depth must be non-negative")
     if args.check_tree and not args.odd:
         raise ValueError("--check-tree requires --odd")
-    build = farey._grow(args.max_depth)  # one build for the ball and both checks
-    ball = farey._ball(build)
-    cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
     if args.check_tree:
-        forest_ok = complexes.is_forest(cpx)
-        reach_ok = farey._reaches(build, margin=2)
-        print(f"forest: {_bool(forest_ok)}")
-        print(f"connected to 1/0 within depth+2: {_bool(reach_ok)}")
+        _, forest_ok, reach_ok = farey._odd_parents(farey._grow(args.max_depth))
+        print(f"forest: {_bool(forest_ok)}\nconnected to 1/0 within depth+2: {_bool(reach_ok)}")
         return 0 if forest_ok and reach_ok else 2
+    ball = farey.stern_brocot_ball(args.max_depth)
+    cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
     _print_complex(cpx, args.format, f"triangles: {len(cpx.triangles)}")
     return 0
 

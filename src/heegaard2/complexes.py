@@ -88,9 +88,10 @@ def component(c: Complex, start: int) -> list[int]:
     return bfs_order(neighbors(c), start)
 
 
-def bfs_order(adj: dict[int, list[int]], start: int) -> list[int]:
+def bfs_order(adj, start: int) -> list[int]:
     """Vertices reachable from ``start`` in BFS order, visiting each
-    adjacency list in its stored order."""
+    adjacency list in its stored order.  ``adj`` is anything indexable by
+    vertex, such as a dict of neighbor lists or a list of child lists."""
     seen = {start}
     order = [start]
     queue = deque([start])
@@ -217,16 +218,19 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
 
 def _odd_graft_tree(farey_depth: int):
     """BFS-ordered slope labels and local edges (i, j), i < j, of the odd
-    subtree used for grafting: the connected component of 1/0 in the odd
-    subcomplex of the depth-truncated Farey ball."""
+    Farey tree of the depth-truncated ball, searched from 1/0 over child
+    lists (by increasing id) read off its odd-parent column."""
     from . import farey  # deferred: farey builds on this module
 
     build = farey._grow(farey_depth)
-    adj = farey._odd_adjacency(build)
-    order = bfs_order(adj, 0)
+    children = [[] for _ in build.nums]
+    for c, p in enumerate(farey._odd_parents(build)[0]):
+        if p >= 0:
+            children[p].append(c)
+    order = bfs_order(children, 0)
     pos = {vid: j for j, vid in enumerate(order)}
     slots = [f"{build.nums[vid]}/{build.dens[vid]}" for vid in order]
-    return slots, [(pos[a], pos[b]) for a in order for b in adj[a] if pos[a] < pos[b]]
+    return slots, [(pos[a], pos[b]) for a in order for b in children[a]]
 
 
 def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):

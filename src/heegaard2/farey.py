@@ -12,14 +12,13 @@ of the edge that vertex c >= 2 was grown on, so its edges are (0, 1),
 (pa, c) and (pb, c) and its triangles (pa, pb, c).  The build checks
 that each expanded edge has determinant +-1 and exactly one fresh apex,
 and numbers new vertices in sorted-frontier order.  Only
-``stern_brocot_ball`` makes labels and a ``Complex``; the reach check
-and the graft tree search the columns.
+``stern_brocot_ball`` makes labels and a ``Complex``; the tree checks
+and the graft tree read the columns.
 
-The odd subcomplex keeps only vertices with odd numerator.  It carries
-no triangles (the mediant of two odd numerators is even) and its balls
-are forests.  Their connectivity to 1/0 is checked inside the ball
-itself, where every odd vertex has an odd parent; a slightly deeper ball
-is only a fallback.
+The odd subcomplex keeps the odd-numerator vertices; in every ball it is
+a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
+Farey-adjacent slopes are never both even, so every odd vertex but 1/0
+has exactly one odd parent, with a smaller id (``_odd_parents``).
 """
 
 import re
@@ -159,20 +158,6 @@ def _grow(depth: int) -> _Build:
     return _Build(nums, dens, pa, pb, sizes)
 
 
-def _odd_adjacency(build: _Build) -> dict[int, list[int]]:
-    """Neighbor lists of the odd subgraph of a build, in increasing id
-    order (each edge joins a vertex to a smaller parent; (0, 1) joins 1/0
-    to the even 0/1)."""
-    adj = {i: [] for i, n in enumerate(build.nums) if n & 1}
-    for c, a, b in zip(range(2, len(build.nums)), build.pa, build.pb):
-        if c in adj:
-            for p in (a, b):
-                if p in adj:
-                    adj[p].append(c)
-                    adj[c].append(p)
-    return adj
-
-
 def _ball(build: _Build) -> Complex:
     """The complex of a build, with labels; its simplices share one int
     object per id."""
@@ -227,25 +212,39 @@ def f_odd_subcomplex(c: Complex) -> Complex:
     return complexes.induced(c, keep)
 
 
-def _reaches(build: _Build, margin: int) -> bool:
-    """``odd_vertices_reach_infinity`` at the depth of ``build``, which
-    serves as the ball; the deeper ball is grown only if its search fails."""
-    depth, size = len(build.sizes) - 1, build.sizes[-1]
-    odd = [i for i in range(size) if build.nums[i] & 1]
-    for d in sorted({depth, depth + margin}):
-        reached = complexes.bfs_order(_odd_adjacency(build if d == depth else _grow(d)), 0)
-        if set(reached).issuperset(odd):
-            return True
-    return False
+def _odd_parents(build: _Build) -> tuple[list[int], bool, bool]:
+    """One pass over a build: the odd-parent column (each odd vertex's odd
+    parent, ``pa`` if both are odd; -1 elsewhere and at 1/0), ``forest``
+    (no odd vertex has two odd parents) and ``reach`` (every odd vertex but
+    1/0 has one).  The odd edges are the edges to odd parents (0/1 is
+    even), which have smaller ids.  So ``forest`` makes the odd subgraph a
+    forest, and exactly so when vertices grow on edges (two odd parents
+    span an odd triangle); ``reach`` leads every odd vertex down the column
+    to 1/0, and under ``forest`` exactly so (a vertex without an odd
+    parent is the least id of its component).
+
+    >>> _odd_parents(_grow(1))
+    ([-1, -1, 0, 0, -1, -1, 2, 3], True, True)
+    """
+    nums, column = build.nums, [-1] * len(build.nums)
+    forest = reach = True
+    for c, a, b in zip(range(2, len(nums)), build.pa, build.pb):
+        if nums[c] & 1:
+            if nums[a] & 1:
+                column[c] = a
+                forest = forest and not nums[b] & 1
+            elif nums[b] & 1:
+                column[c] = b
+            else:
+                reach = False
+    return column, forest, reach
 
 
 def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
-    """Every odd vertex of the depth-``depth`` ball is connected to 1/0
-    inside the odd subcomplex of the depth-``depth + margin`` ball.  The
-    ball is the id prefix of the deeper one, which is built only when the
-    search in the ball fails.  It never does on a correct build: every odd
-    vertex but 1/0 has an odd neighbor with a smaller id (1/0 for +-1/1;
-    for a grown a +- b, its odd-numerator parent)."""
+    """Every odd vertex of the depth-``depth`` ball is connected to 1/0 in
+    the odd subcomplex of the depth-``depth + margin`` ball: the ``reach``
+    verdict of ``_odd_parents``.  The ball is the id prefix of every deeper
+    ball, so ``margin`` is validated but no longer changes the answer."""
     if depth < 0 or margin < 0:
         raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
-    return _reaches(_grow(depth), margin)
+    return _odd_parents(_grow(depth))[2]

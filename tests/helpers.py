@@ -376,6 +376,23 @@ def reach_oracle(depth, margin=2):
     return odd_small <= {labels[i] for i in complexes.component(big, inf_id)}
 
 
+def cut_build(build, v):
+    """The build with every edge at vertex ``v`` moved onto 0/1 (id 1,
+    even), so that ``v`` has no odd neighbor left."""
+    pa = [1 if a == v else a for a in build.pa]
+    pb = [1 if b == v else b for b in build.pb]
+    if 2 <= v < len(build.nums):
+        pa[v - 2] = pb[v - 2] = 1
+    return build._replace(pa=pa, pb=pb)
+
+
+def rehang_build(build, v, a, b):
+    """The build with vertex ``v`` grown on the edge a-b instead."""
+    pa, pb = list(build.pa), list(build.pb)
+    pa[v - 2], pb[v - 2] = a, b
+    return build._replace(pa=pa, pb=pb)
+
+
 def odd_graft_tree_oracle(farey_depth):
     """Graft slots and local edges from the oracle ball: the component of
     1/0 in its odd subcomplex, in BFS order with neighbors by increasing

@@ -28,7 +28,8 @@ def test_lens_validation():
 def test_parse_summand():
     assert classify.parse_summand("s2xs1") == S2xS1()
     assert classify.parse_summand("lens:5,2") == Lens(5, 2)
-    for bad in ("lens:5", "lens:5,2,1", "lens:a,b", "rp3", "lens:1,0"):
+    for bad in ("lens:5", "lens:5,2,1", "lens:a,b", "rp3", "lens:1,0",
+                "lens:1_3,2", "lens:\u0665,2", "lens:5,\uff12", "lens:+5,2", "lens: 5,2"):
         with pytest.raises(ValueError):
             classify.parse_summand(bad)
 

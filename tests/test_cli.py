@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import heegaard2
-from heegaard2 import cli, farey, goeritz
+from heegaard2 import cli, complexes, farey, goeritz
+
+from helpers import cut_build, rehang_build
 
 
 def run(capsys, *argv):
@@ -123,6 +125,20 @@ def test_classify_rejects_degenerate_lens(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "m1, message",
+    [
+        ("lens:1_3,2", "expected integer lens parameters, got 'lens:1_3,2'"),
+        ("lens:\u0665,2", "expected integer lens parameters, got 'lens:\u0665,2'"),
+        ("lens:5,-2", "require 1 <= q < p, got q=-2, p=5"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "negative-q"],
+)
+def test_classify_rejects_malformed_lens_parameters(capsys, m1, message):
+    code, out, err = run(capsys, "classify", "--m1", m1, "--m2", "s2xs1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_goeritz_normal_form(capsys):
     code, out, _ = run(capsys, "goeritz", "--case", "1b", "--normal-form", "d b d")
     assert code == 0
@@ -185,11 +201,35 @@ def test_farey_check_tree_grows_the_ball_once(capsys, monkeypatch):
         calls.append(depth)
         return grow(depth)
 
+    def no_complex(*args):
+        raise AssertionError("built a complex for --check-tree")
+
     monkeypatch.setattr(farey, "_grow", counted)
-    code, out, _ = run(capsys, "farey", "--max-depth", "6", "--odd", "--check-tree")
-    assert code == 0
-    assert out == "forest: true\nconnected to 1/0 within depth+2: true\n"
-    assert calls == [6]
+    for name in ("_ball", "f_odd_subcomplex"):
+        monkeypatch.setattr(farey, name, no_complex)
+    monkeypatch.setattr(complexes, "is_forest", no_complex)
+    for depth in range(13):
+        calls.clear()
+        code, out, _ = run(capsys, "farey", "--max-depth", str(depth), "--odd", "--check-tree")
+        assert code == 0, depth
+        assert out == "forest: true\nconnected to 1/0 within depth+2: true\n", depth
+        assert calls == [depth]
+
+
+@pytest.mark.parametrize(
+    "damage, line",
+    [
+        (lambda build: rehang_build(build, 6, 0, 2), "forest: false"),
+        (lambda build: cut_build(build, 0), "connected to 1/0 within depth+2: false"),
+    ],
+    ids=["two-odd-parents", "cut-off-1/0"],
+)
+def test_farey_check_tree_exits_2_on_a_damaged_build(capsys, monkeypatch, damage, line):
+    grow = farey._grow
+    monkeypatch.setattr(farey, "_grow", lambda depth: damage(grow(depth)))
+    code, out, _ = run(capsys, "farey", "--max-depth", "3", "--odd", "--check-tree")
+    assert code == 2
+    assert line in out.splitlines()
 
 
 def test_farey_check_tree_requires_odd(capsys):

@@ -1,14 +1,17 @@
-"""The frontier-grown Farey ball, the one-build reach check and the odd
-graft tree against the rescan oracles in ``helpers``."""
+"""The frontier-grown Farey ball, its odd-parent column, the one-build
+reach check and the odd graft tree against the rescan oracles in
+``helpers`` and the labelled odd subcomplex."""
 
 import pytest
 
 from heegaard2 import complexes, farey
 
 from helpers import (
+    cut_build,
     odd_graft_tree_oracle,
     odd_subcomplex_oracle,
     reach_oracle,
+    rehang_build,
     stern_brocot_ball_oracle,
 )
 
@@ -67,16 +70,6 @@ def test_haken_model_matches_oracle_graft_on_criterion_6_grid(monkeypatch):
         assert got == _model_or_error(*args), args
 
 
-def _cut(build, v):
-    """The build with every edge at vertex ``v`` moved onto 0/1 (id 1,
-    even), so that ``v`` has no odd neighbor left."""
-    pa = [1 if a == v else a for a in build.pa]
-    pb = [1 if b == v else b for b in build.pb]
-    if 2 <= v < len(build.nums):
-        pa[v - 2] = pb[v - 2] = 1
-    return build._replace(pa=pa, pb=pb)
-
-
 def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     # the verdict is true at every depth, so cut the last odd vertex of the
     # depth-2 ball off the grown ball and expect it to be missed
@@ -85,7 +78,7 @@ def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     lost = max(i for i in range(build.sizes[2]) if build.nums[i] % 2)
 
     def cut(depth):
-        return _cut(grow(depth), lost)
+        return cut_build(grow(depth), lost)
 
     monkeypatch.setattr(farey, "_grow", cut)
     assert not farey.odd_vertices_reach_infinity(2)
@@ -160,9 +153,40 @@ def test_reach_builds_one_ball_when_it_passes(monkeypatch, depth, margin):
 
 
 @pytest.mark.parametrize("depth, margin", [(2, 2), (4, 1)])
-def test_reach_falls_back_to_the_deeper_ball(monkeypatch, depth, margin):
-    # cut the first build's edges at 1/0: its search fails, the deeper
-    # (intact) build passes
-    calls = _recording_grow(monkeypatch, lambda build: _cut(build, 0))
-    assert farey.odd_vertices_reach_infinity(depth, margin)
-    assert calls == [depth, depth + margin]
+def test_reach_grows_one_ball_when_it_fails(monkeypatch, depth, margin):
+    # cut the build's edges at 1/0: the verdict is false, and no deeper
+    # ball is grown to look for another way round
+    calls = _recording_grow(monkeypatch, lambda build: cut_build(build, 0))
+    assert not farey.odd_vertices_reach_infinity(depth, margin)
+    assert calls == [depth]
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_odd_parent_column_matches_the_odd_subcomplex(depth):
+    # oracle: neighbor lists of the odd subcomplex of the labelled ball
+    odd = farey.f_odd_subcomplex(farey.stern_brocot_ball(depth))
+    adj = complexes.neighbors(odd)
+    column, forest, reach = farey._odd_parents(farey._grow(depth))
+    assert (forest, reach) == (complexes.is_forest(odd), True)
+    assert column[0] == -1
+    for v in range(1, len(column)):
+        if v in adj:
+            smaller = [w for w in adj[v] if w < v]
+            assert smaller == [column[v]], v
+        else:
+            assert column[v] == -1, v
+    assert sorted(v for v in adj if v) == [v for v, p in enumerate(column) if p >= 0]
+
+
+def test_each_verdict_fails_on_its_own():
+    build = farey._grow(3)
+    lost = max(i for i in range(len(build.nums)) if build.nums[i] % 2)
+    _, forest, reach = farey._odd_parents(cut_build(build, lost))
+    assert (forest, reach) == (True, False)
+    # 1/2 (id 6, a leaf of the depth-1 ball) on the odd edge 1/0 - 1/1
+    # (ids 0, 2): the three span an odd triangle
+    damaged = rehang_build(farey._grow(1), 6, 0, 2)
+    column, forest, reach = farey._odd_parents(damaged)
+    assert (forest, reach) == (False, True)
+    assert column[6] == 0
+    assert not complexes.is_forest(farey.f_odd_subcomplex(farey._ball(damaged)))
