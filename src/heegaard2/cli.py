@@ -15,6 +15,7 @@ quietly, with exit 0 unless a check has already answered false.
 
 import argparse
 import os
+import re
 import sys
 from itertools import groupby
 
@@ -29,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
+
+
+def _int(text: str) -> int:
+    """Integer flags, in ASCII digits only, as ``lens:p,q`` (``int`` reads ``+5``, ``1_0``)."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _bool(value: bool) -> str:
@@ -138,6 +146,8 @@ def _cmd_farey(args) -> int:
         raise ValueError("--max-depth must be non-negative")
     if args.check_tree and not args.odd:
         raise ValueError("--check-tree requires --odd")
+    if args.check_tree and args.format != "text":
+        raise ValueError(f"--check-tree prints text only, not --format {args.format}")
     if args.check_tree:
         _, forest_ok, reach_ok = farey._odd_parents(farey._grow(args.max_depth))
         print(f"forest: {_bool(forest_ok)}\nconnected to 1/0 within depth+2: {_bool(reach_ok)}")
@@ -150,12 +160,14 @@ def _cmd_farey(args) -> int:
 
 def _cmd_sphere_complex(args) -> int:
     from . import complexes
+    flags = {"--blacks": args.blacks, "--whites-per-black": args.whites_per_black,
+             "--farey-depth": args.farey_depth}
     if args.cone is not None:
+        if given := [flag for flag, value in flags.items() if value is not None]:
+            raise ValueError(f"--cone takes no graft flags, got {', '.join(given)}")
         cpx = complexes.sp_cone_model(args.cone)
         verdict, ok = "cone", complexes.cone_check(cpx)
     else:
-        flags = {"--blacks": args.blacks, "--whites-per-black": args.whites_per_black,
-                 "--farey-depth": args.farey_depth}
         if missing := [flag for flag, value in flags.items() if value is None]:
             raise ValueError(f"missing {', '.join(missing)} (or use --cone)")
         cpx = complexes.haken_complex_model(args.blacks, args.whites_per_black, args.farey_depth)
@@ -169,11 +181,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("words", help="surgery word sequence for summand parameters")
-    p.add_argument("--p1", type=int, required=True)
-    p.add_argument("--q1", type=int, required=True)
-    p.add_argument("--p2", type=int, required=True)
-    p.add_argument("--q2", type=int, default=1)
-    p.add_argument("--index", type=int, default=None)
+    p.add_argument("--p1", type=_int, required=True)
+    p.add_argument("--q1", type=_int, required=True)
+    p.add_argument("--p2", type=_int, required=True)
+    p.add_argument("--q2", type=_int, default=1)
+    p.add_argument("--index", type=_int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_words)
 
@@ -189,24 +201,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("goeritz", help="Goeritz presentations and word problems")
     p.add_argument("--case", required=True)
-    p.add_argument("--normal-form", dest="normal_form", default=None,
-                   help='token word, e.g. "d b d"')
-    p.add_argument("--abelianization", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--normal-form", dest="normal_form", default=None,
+                      help='token word, e.g. "d b d"')
+    mode.add_argument("--abelianization", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_goeritz)
 
     p = sub.add_parser("farey", help="mediant balls and the odd subtree")
-    p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
+    p.add_argument("--max-depth", dest="max_depth", type=_int, required=True)
     p.add_argument("--odd", action="store_true")
     p.add_argument("--check-tree", dest="check_tree", action="store_true")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=_cmd_farey)
 
     p = sub.add_parser("sphere-complex", help="grafted sphere-complex and cone models")
-    p.add_argument("--blacks", type=int, default=None)
-    p.add_argument("--whites-per-black", dest="whites_per_black", type=int, default=None)
-    p.add_argument("--farey-depth", dest="farey_depth", type=int, default=None)
-    p.add_argument("--cone", type=int, default=None)
+    p.add_argument("--blacks", type=_int, default=None)
+    p.add_argument("--whites-per-black", dest="whites_per_black", type=_int, default=None)
+    p.add_argument("--farey-depth", dest="farey_depth", type=_int, default=None)
+    p.add_argument("--cone", type=_int, default=None)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=_cmd_sphere_complex)
 

@@ -307,7 +307,6 @@ def cone_check(c: Complex) -> bool:
         return False
     apex = apexes[0]
     others = {v.id for v in c.vertices if v.id != apex}
-    adj = neighbors(c)
-    if set(adj[apex]) != others:
+    if {b if a == apex else a for a, b in c.edges if apex in (a, b)} != others:
         return False
     return is_tree(induced(c, others))

@@ -2,7 +2,8 @@
 odd-numerator subcomplex.
 
 Slopes are irreducible pairs n/d with d >= 0, including 1/0 for the
-vertical slope.  Two slopes are Farey-adjacent when the determinant
+vertical slope, labelled ``str(Slope)``; ``_SLOPE`` is the one pattern
+that reads labels.  Two slopes are Farey-adjacent when the determinant
 n1*d2 - n2*d1 is +-1; finite balls of the Farey complex are grown by
 mediant insertion from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 
@@ -66,9 +67,17 @@ def slope_normalize(n: int, d: int) -> Slope:
     return Slope(n // g, d // g)
 
 
+# a label n/d in ASCII decimal digits, capturing the last digit of n
+_SLOPE = re.compile(r"-?\d*(\d)/\d+", re.ASCII)
+
+
 def slope_from_label(label: str) -> Slope:
-    num, _, den = label.partition("/")
-    return Slope(int(num), int(den))
+    """The slope s with ``str(s) == label``; any other label is an error."""
+    if _SLOPE.fullmatch(label):
+        n, d = map(int, label.split("/"))
+        if (n or d) and str(s := slope_normalize(n, d)) == label:
+            return s
+    raise ValueError(f"{label!r} is not a slope n/d in lowest terms with d >= 0")
 
 
 def farey_adjacent(a: Slope, b: Slope) -> bool:
@@ -110,23 +119,22 @@ def _mediants(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
     return (an + bn, ad + bd, n, d) if d else (an + bn, ad + bd, 1, 0)
 
 
-_Build = namedtuple("_Build", "nums dens pa pb sizes")
+_Build = namedtuple("_Build", "nums dens pa pb")
 
 
 def _grow(depth: int) -> _Build:
     """Grow the ball by ``depth`` rounds of mediant insertion into the
-    parent table of the module docstring, with the vertex count after each
-    round; 1/1 and -1/1 hang on the edge 1/0 - 0/1.  The frontier lists
-    the boundary edges (a, b, apex); a new vertex c on (a, b) replaces its
-    edge by (a, c, b) and (b, c, a).  A Farey edge has just two common
-    neighbors, a + b and a - b, so a candidate that is not the apex and is
-    adjacent to a and to b is new.
+    parent table of the module docstring; 1/1 and -1/1 hang on the edge
+    1/0 - 0/1.  The frontier lists the boundary edges (a, b, apex); a new
+    vertex c on (a, b) replaces its edge by (a, c, b) and (b, c, a).  A
+    Farey edge has just two common neighbors, a + b and a - b, so a
+    candidate that is not the apex and is adjacent to a and to b is new.
 
     >>> b = _grow(1)
     >>> b.nums, b.dens
     ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2])
-    >>> b.pa, b.pb, b.sizes
-    ([0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3], [4, 8])
+    >>> b.pa, b.pb
+    ([0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3])
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -134,7 +142,6 @@ def _grow(depth: int) -> _Build:
     dens = [s.d for s in _BASE]
     pa, pb = [0, 0], [1, 1]
     frontier = [(0, 2, 1), (1, 2, 0), (0, 3, 1), (1, 3, 0)]
-    sizes = [len(nums)]
     for _ in range(depth):
         frontier.sort()
         grown = []
@@ -154,8 +161,7 @@ def _grow(depth: int) -> _Build:
             pb.append(b)
             grown += ((a, c, b), (b, c, a))
         frontier = grown
-        sizes.append(len(nums))
-    return _Build(nums, dens, pa, pb, sizes)
+    return _Build(nums, dens, pa, pb)
 
 
 def _ball(build: _Build) -> Complex:
@@ -187,28 +193,18 @@ def stern_brocot_ball(depth: int) -> Complex:
     return _ball(_grow(depth))
 
 
-_SLOPE_LABEL = r"-?\d+/\d+"
-# a whole line that is a slope label, capturing the last digit before the /
-_SLOPE_LINE = re.compile(r"^-?\d*(\d)/\d+$", re.MULTILINE | re.ASCII)
-
-
 def f_odd_subcomplex(c: Complex) -> Complex:
     """Full subcomplex on the odd-numerator vertices.  Every vertex must
-    have kind slope and a label n/d of decimal integers; parity is the
-    last digit before the ``/``.  One regex pass over the joined labels
-    checks and reads them all; only a failure checks them one by one."""
+    have kind slope and a label n/d of ASCII decimal integers; parity is
+    the last digit before the ``/``."""
     if {v.kind for v in c.vertices} - {KIND_SLOPE}:
         v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
         raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
-    labels = "\n".join(map(itemgetter(2), c.vertices))
-    digits = _SLOPE_LINE.findall(labels)
-    # a newline inside a label would split it into lines that each pass
-    if c.vertices and (
-        labels.count("\n") >= len(c.vertices) or len(digits) != len(c.vertices)
-    ):
-        v = next(v for v in c.vertices if not re.fullmatch(_SLOPE_LABEL, v.label, re.ASCII))
+    found = list(map(_SLOPE.fullmatch, map(itemgetter(2), c.vertices)))
+    if None in found:
+        v = c.vertices[found.index(None)]
         raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
-    keep = {v.id for v, d in zip(c.vertices, digits) if d in "13579"}
+    keep = {v.id for v, m in zip(c.vertices, found) if m[1] in "13579"}
     return complexes.induced(c, keep)
 
 

@@ -1,9 +1,13 @@
 """Shared test utilities: exhaustive word enumeration and independent
 oracles kept deliberately separate from the library implementations."""
 
+import math
+import re
 from functools import partial
+from operator import itemgetter
 
 from heegaard2 import complexes, farey, fgroup
+from heegaard2.complexes import KIND_SLOPE
 from heegaard2.goeritz import Presentation
 
 _INV = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
@@ -356,12 +360,49 @@ def stern_brocot_ball_oracle(depth):
 
 
 def odd_subcomplex_oracle(c):
-    """Full subcomplex on the vertices whose parsed slope has an odd
-    numerator."""
-    keep = {
-        v.id for v in c.vertices if farey.is_odd_vertex(farey.slope_from_label(v.label))
-    }
+    """Full subcomplex on the vertices whose numerator, read by ``int`` up
+    to the ``/`` and not by the library's label grammar, is odd."""
+    keep = {v.id for v in c.vertices if int(v.label.partition("/")[0]) % 2}
     return complexes.induced(c, keep)
+
+
+# ``f_odd_subcomplex`` as first written, verbatim: one MULTILINE regex pass
+# over the newline-joined labels, guarded by a newline count, and a second
+# regex to name an offender.  The library's one-pattern scan must return
+# the same complex or raise the same message.
+_SLOPE_LABEL = r"-?\d+/\d+"
+# a whole line that is a slope label, capturing the last digit before the /
+_SLOPE_LINE = re.compile(r"^-?\d*(\d)/\d+$", re.MULTILINE | re.ASCII)
+
+
+def f_odd_subcomplex_oracle(c):
+    if {v.kind for v in c.vertices} - {KIND_SLOPE}:
+        v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
+        raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
+    labels = "\n".join(map(itemgetter(2), c.vertices))
+    digits = _SLOPE_LINE.findall(labels)
+    # a newline inside a label would split it into lines that each pass
+    if c.vertices and (
+        labels.count("\n") >= len(c.vertices) or len(digits) != len(c.vertices)
+    ):
+        v = next(v for v in c.vertices if not re.fullmatch(_SLOPE_LABEL, v.label, re.ASCII))
+        raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
+    keep = {v.id for v, d in zip(c.vertices, digits) if d in "13579"}
+    return complexes.induced(c, keep)
+
+
+def printed_slope(label):
+    """The slope s with ``str(s) == label``, or None: the label must read
+    back, character for character, as ``{n}/{d}`` of an irreducible n/d
+    with d >= 0 (1/0 the only one with d = 0)."""
+    num, _, den = label.partition("/")
+    try:
+        n, d = int(num), int(den)
+    except ValueError:
+        return None
+    if f"{n}/{d}" != label or d < 0 or math.gcd(n, d) != 1 or (d == 0 and n != 1):
+        return None
+    return farey.Slope(n, d)
 
 
 def reach_oracle(depth, margin=2):
@@ -408,6 +449,20 @@ def odd_graft_tree_oracle(farey_depth):
         if a in pos and b in pos
     )
     return [labels[vid] for vid in order], local_edges
+
+
+def cone_check_oracle(c):
+    """``cone_check`` as first written: the apex's neighbors read off the
+    full ``neighbors`` table of the complex."""
+    apexes = [v.id for v in c.vertices if v.kind == complexes.KIND_APEX]
+    if len(apexes) != 1:
+        return False
+    apex = apexes[0]
+    others = {v.id for v in c.vertices if v.id != apex}
+    adj = complexes.neighbors(c)
+    if set(adj[apex]) != others:
+        return False
+    return complexes.is_tree(complexes.induced(c, others))
 
 
 def validate_oracle(self):

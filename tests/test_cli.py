@@ -253,6 +253,61 @@ def test_farey_flags_checked_before_any_build(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["goeritz", "--case", "1b", "--normal-form", "d b d", "--abelianization"],
+         "argument --abelianization: not allowed with argument --normal-form"),
+        (["sphere-complex", "--cone", "3", "--blacks", "2"],
+         "--cone takes no graft flags, got --blacks"),
+        (["sphere-complex", "--whites-per-black", "2", "--farey-depth", "1", "--cone", "3"],
+         "--cone takes no graft flags, got --whites-per-black, --farey-depth"),
+        (["farey", "--max-depth", "3", "--odd", "--check-tree", "--format", "json"],
+         "--check-tree prints text only, not --format json"),
+        (["farey", "--max-depth", "3", "--odd", "--check-tree", "--format", "dot"],
+         "--check-tree prints text only, not --format dot"),
+    ],
+    ids=["normal-form-and-abelianization", "cone-and-blacks", "cone-and-two-graft-flags",
+         "check-tree-json", "check-tree-dot"],
+)
+def test_one_mode_per_invocation(capsys, monkeypatch, argv, message):
+    def no_build(*args):
+        raise AssertionError("built before checking the flags")
+
+    for module, names in (
+        (farey, ("stern_brocot_ball", "_grow")),
+        (complexes, ("sp_cone_model", "haken_complex_model", "sp_tree_model")),
+        (goeritz, ("goeritz_presentation", "normal_form", "abelianization")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, no_build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+# one valid invocation per subcommand with integer flags, naming every flag
+_INT_ARGVS = (
+    ["words", "--p1", "5", "--q1", "2", "--p2", "3", "--q2", "1", "--index", "1"],
+    ["farey", "--max-depth", "2"],
+    ["sphere-complex", "--blacks", "2", "--whites-per-black", "2", "--farey-depth", "2"],
+    ["sphere-complex", "--cone", "4"],
+)
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", " 4", "+5"])
+@pytest.mark.parametrize(
+    "argv, at",
+    [pytest.param(argv, at, id=argv[at - 1])
+     for argv in _INT_ARGVS for at in range(2, len(argv), 2)],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, at, value):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv[:at], value, *argv[at + 1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: argument {argv[at - 1]}: invalid int value: {value!r}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["farey", "--max-depth", "2"],

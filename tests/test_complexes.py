@@ -5,8 +5,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heegaard2 import complexes, farey
-from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Vertex
-from helpers import forest_oracle, validate_oracle
+from heegaard2.complexes import KIND_APEX, KIND_BLACK, KIND_SLOPE, KIND_WHITE, Vertex
+from helpers import cone_check_oracle, forest_oracle, validate_oracle
 
 
 def kinds(cpx):
@@ -312,3 +312,28 @@ def test_forest_and_tree_match_the_counting_oracle(graph):
     assert (complexes.is_forest(cpx), complexes.is_tree(cpx)) == forest_oracle(
         ids, cpx.edges
     )
+
+
+@st.composite
+def cone_like(draw):
+    """Scattered ids of any kinds and random edges, with one drawn vertex
+    made an apex and joined to all or to some of the others: true cones,
+    a missed base vertex, a cyclic base and a second apex all occur."""
+    ids = draw(st.lists(st.integers(-40, 40), unique=True, max_size=9))
+    kind_of = [draw(st.sampled_from(complexes.KINDS)) for _ in ids]
+    edges = set(draw(_simplices(ids, 2, 8)))
+    if ids:
+        j = draw(st.integers(0, len(ids) - 1))
+        kind_of[j] = KIND_APEX
+        joined = draw(st.sampled_from([ids, draw(st.lists(st.sampled_from(ids)))]))
+        edges |= {tuple(sorted((ids[j], i))) for i in joined if i != ids[j]}
+    return complexes.Complex(
+        tuple(Vertex(i, k, f"v{i}") for i, k in zip(ids, kind_of)), frozenset(edges)
+    )
+
+
+@given(cone_like())
+@example(complexes.sp_cone_model(4))
+@example(complexes.sp_tree_model(2, 2))
+def test_cone_check_matches_the_neighbors_oracle(cpx):
+    assert complexes.cone_check(cpx) == cone_check_oracle(cpx)

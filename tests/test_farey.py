@@ -2,9 +2,12 @@ import itertools
 import re
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from heegaard2 import complexes, farey
 from heegaard2.farey import Slope
+from helpers import f_odd_subcomplex_oracle, printed_slope
 
 
 def labels(cpx):
@@ -25,6 +28,33 @@ def test_slope_normalize():
 def test_slope_labels_round_trip():
     for s in (Slope(1, 0), Slope(0, 1), Slope(-3, 2), Slope(7, 5)):
         assert farey.slope_from_label(str(s)) == s
+    for v in farey.stern_brocot_ball(10).vertices:
+        assert str(farey.slope_from_label(v.label)) == v.label
+
+
+# labels that no Slope prints, each of which bare int() once read
+@pytest.mark.parametrize(
+    "label",
+    ["0/0", "3/-4", "2/4", "5/0", "1_0/3", " 3/4", "+3/4", "\u0663/4", "-0/1", "-1/0", "03/4"],
+)
+def test_slope_from_label_rejects_what_str_never_writes(label):
+    with pytest.raises(ValueError, match=re.escape(f"{label!r} is not a slope n/d")):
+        farey.slope_from_label(label)
+
+
+@given(
+    st.text(alphabet="0123456789-/+_ \n\u0663", max_size=7)
+    | st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-3, 30))
+)
+@example("1/0")
+@example("-1/0")
+@example("0/1")
+def test_slope_from_label_reads_exactly_what_str_writes(label):
+    try:
+        got = farey.slope_from_label(label)
+    except ValueError:
+        got = None
+    assert got == printed_slope(label)
 
 
 def test_farey_adjacent():
@@ -165,6 +195,33 @@ def test_f_odd_rejects_a_slope_vertex_whose_label_is_not_a_slope(label):
     named = re.escape(f"vertex 1 has label {label!r}, not a slope n/d")
     with pytest.raises(ValueError, match=rf"^{named}$"):
         farey.f_odd_subcomplex(cpx)
+
+
+_BALL_LABELS = sorted(v.label for v in farey.stern_brocot_ball(5).vertices)
+_NEAR_MISSES = [" 3/4", "1_0/3", "\u0663/4", "3/4\n", "+3/4", "3/-4", "disk0:1/2", "1/2\n3/4"]
+
+
+@st.composite
+def slope_complexes(draw):
+    """A path of slope vertices labelled from a Farey ball, with a few
+    near-miss labels put in at drawn places."""
+    labels = draw(st.lists(st.sampled_from(_BALL_LABELS), max_size=12))
+    for miss in draw(st.lists(st.sampled_from(_NEAR_MISSES), max_size=2)):
+        labels.insert(draw(st.integers(0, len(labels))), miss)
+    vertices = tuple(complexes.Vertex(i, complexes.KIND_SLOPE, l) for i, l in enumerate(labels))
+    return complexes.Complex(vertices, frozenset((i, i + 1) for i in range(len(labels) - 1)))
+
+
+def _outcome(f_odd, cpx):
+    try:
+        return f_odd(cpx)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(slope_complexes())
+def test_f_odd_matches_the_joined_label_oracle(cpx):
+    assert _outcome(farey.f_odd_subcomplex, cpx) == _outcome(f_odd_subcomplex_oracle, cpx)
 
 
 def test_f_odd_no_triangles_and_forest():

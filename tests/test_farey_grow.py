@@ -75,7 +75,7 @@ def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     # depth-2 ball off the grown ball and expect it to be missed
     grow = farey._grow
     build = grow(2)
-    lost = max(i for i in range(build.sizes[2]) if build.nums[i] % 2)
+    lost = max(i for i in range(len(build.nums)) if build.nums[i] % 2)
 
     def cut(depth):
         return cut_build(grow(depth), lost)
