@@ -165,11 +165,16 @@ def _cmd_sphere_complex(args) -> int:
     if args.cone is not None:
         if given := [flag for flag, value in flags.items() if value is not None]:
             raise ValueError(f"--cone takes no graft flags, got {', '.join(given)}")
+        if args.cone < 1:
+            raise ValueError("--cone must be positive")
         cpx = complexes.sp_cone_model(args.cone)
         verdict, ok = "cone", complexes.cone_check(cpx)
     else:
         if missing := [flag for flag, value in flags.items() if value is None]:
             raise ValueError(f"missing {', '.join(missing)} (or use --cone)")
+        for flag, least in (("--blacks", 1), ("--whites-per-black", 1), ("--farey-depth", 0)):
+            if flags[flag] < least:
+                raise ValueError(f"{flag} must be {'positive' if least else 'non-negative'}")
         cpx = complexes.haken_complex_model(args.blacks, args.whites_per_black, args.farey_depth)
         verdict, ok = "tree", complexes.is_tree(cpx)
     _print_complex(cpx, args.format, f"{verdict}: {_bool(ok)}")

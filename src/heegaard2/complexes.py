@@ -1,14 +1,14 @@
 """Finite labeled simplicial 1-/2-complexes and the tree models built on
 them: the bipartite black/white disk-and-sphere tree, the sphere-complex
-model obtained by grafting odd Farey trees, and the cone model for the
-case with a reducing disk.
+model obtained by grafting copies of ``farey.odd_subtree`` onto it, and
+the cone model for the case with a reducing disk.
 
 A complex stores vertices (id, kind, label), an edge set and an optional
 triangle layer.  Complexes are immutable after construction and every
 operation here is pure.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -94,14 +94,11 @@ def bfs_order(adj, start: int) -> list[int]:
     vertex, such as a dict of neighbor lists or a list of child lists."""
     seen = {start}
     order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    for v in order:  # order grows as it is read: first in, first out
         for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
     return order
 
 
@@ -195,47 +192,29 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
         raise ValueError("black_count and whites_per_black must be positive")
     vertices: list[Vertex] = []
     edges: set[tuple[int, int]] = set()
-    free_whites: deque[int | None] = deque([None])  # None: the root joins no white
-    blacks = 0
-    while blacks < black_count:
-        if not free_whites:
+    whites: list[int] = []  # in id order, so black k > 0 joining whites[k - 1] is breadth-first
+    for k in range(black_count):
+        if k > len(whites):
             raise ValueError(
                 "cannot grow the tree: no valence-one white left "
                 "(whites_per_black too small for black_count)"
             )
-        w = free_whites.popleft()
         b = len(vertices)
-        vertices.append(Vertex(b, KIND_BLACK, f"disk{blacks}"))
-        blacks += 1
-        if w is not None:
-            edges.add((w, b))
-        for w2 in range(b + 1, b + 1 + whites_per_black - (w is not None)):
-            vertices.append(Vertex(w2, KIND_WHITE, f"sphere{w2 - blacks}"))
-            edges.add((b, w2))
-            free_whites.append(w2)
+        vertices.append(Vertex(b, KIND_BLACK, f"disk{k}"))
+        if k:
+            edges.add((whites[k - 1], b))
+        for w in range(b + 1, b + 1 + whites_per_black - (k > 0)):
+            vertices.append(Vertex(w, KIND_WHITE, f"sphere{len(whites)}"))
+            edges.add((b, w))
+            whites.append(w)
     return Complex(tuple(vertices), frozenset(edges))
 
 
-def _odd_graft_tree(farey_depth: int):
-    """BFS-ordered slope labels and local edges (i, j), i < j, of the odd
-    Farey tree of the depth-truncated ball, searched from 1/0 over child
-    lists (by increasing id) read off its odd-parent column."""
+def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
     from . import farey  # deferred: farey builds on this module
 
-    build = farey._grow(farey_depth)
-    children = [[] for _ in build.nums]
-    for c, p in enumerate(farey._odd_parents(build)[0]):
-        if p >= 0:
-            children[p].append(c)
-    order = bfs_order(children, 0)
-    pos = {vid: j for j, vid in enumerate(order)}
-    slots = [f"{build.nums[vid]}/{build.dens[vid]}" for vid in order]
-    return slots, [(pos[a], pos[b]) for a in order for b in children[a]]
-
-
-def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
     sp = sp_tree_model(black_count, whites_per_black)
-    slots, local_edges = _odd_graft_tree(farey_depth)
+    slots, local_edges = farey.odd_subtree(farey_depth)
     if whites_per_black > len(slots):
         raise ValueError(
             f"whites_per_black={whites_per_black} exceeds the "

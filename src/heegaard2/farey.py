@@ -1,11 +1,11 @@
 """Exact extended-rational slopes, Farey adjacency, mediant balls and the
 odd-numerator subcomplex.
 
-Slopes are irreducible pairs n/d with d >= 0, including 1/0 for the
-vertical slope, labelled ``str(Slope)``; ``_SLOPE`` is the one pattern
-that reads labels.  Two slopes are Farey-adjacent when the determinant
-n1*d2 - n2*d1 is +-1; finite balls of the Farey complex are grown by
-mediant insertion from the base triangles on {1/0, 0/1, 1/1, -1/1}.
+Slopes are irreducible pairs n/d with d >= 0, 1/0 the vertical slope;
+their labels have one writer, ``_label``, and one reader, ``_SLOPE``.
+Two slopes are Farey-adjacent when the determinant n1*d2 - n2*d1 is
++-1; finite balls of the Farey complex are grown by mediant insertion
+from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 
 A ball is grown as a parent table (``_grow``): int columns ``nums`` and
 ``dens`` of the slopes in id order, and the ends ``pa[c - 2] < pb[c - 2]``
@@ -13,13 +13,14 @@ of the edge that vertex c >= 2 was grown on, so its edges are (0, 1),
 (pa, c) and (pb, c) and its triangles (pa, pb, c).  The build checks
 that each expanded edge has determinant +-1 and exactly one fresh apex,
 and numbers new vertices in sorted-frontier order.  Only
-``stern_brocot_ball`` makes labels and a ``Complex``; the tree checks
-and the graft tree read the columns.
+``stern_brocot_ball`` makes a ``Complex``; the tree checks and
+``odd_subtree`` read the columns.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
 Farey-adjacent slopes are never both even, so every odd vertex but 1/0
-has exactly one odd parent, with a smaller id (``_odd_parents``).
+has exactly one odd parent, with a smaller id (``_odd_parents``), and
+``odd_subtree`` lists that tree breadth-first, as the graft copies it.
 """
 
 import re
@@ -32,6 +33,8 @@ from typing import NamedTuple
 from . import complexes
 from .complexes import KIND_SLOPE, Complex
 
+_label = "{}/{}".format
+
 
 class Slope(NamedTuple):
     """An irreducible extended rational n/d with d >= 0; 1/0 is the
@@ -41,7 +44,7 @@ class Slope(NamedTuple):
     d: int
 
     def __str__(self) -> str:
-        return f"{self.n}/{self.d}"
+        return _label(self.n, self.d)
 
 
 INFINITY = Slope(1, 0)
@@ -153,7 +156,7 @@ def _grow(depth: int) -> _Build:
             # the determinants of a-b, a-c and c-b are all +-1 iff their product is
             dets = (an * bd - bn * ad) * (an * cd - cn * ad) * (cn * bd - bn * cd)
             if p_is_x == (mn == xn and md == xd) or dets not in (1, -1):
-                raise AssertionError(f"expected one new apex on edge {an}/{ad}-{bn}/{bd}")
+                raise AssertionError(f"expected one new apex on edge {_label(an, ad)}-{_label(bn, bd)}")
             c = len(nums)
             nums.append(cn)
             dens.append(cd)
@@ -170,7 +173,7 @@ def _ball(build: _Build) -> Complex:
     ids = list(range(len(build.nums)))
     pa, pb = (list(map(ids.__getitem__, p)) for p in (build.pa, build.pb))
     grown = ids[2:]
-    labels = map("{}/{}".format, build.nums, build.dens)
+    labels = map(_label, build.nums, build.dens)
     # a union of two sets sizes its table once; a set grown by one edge at
     # a time ends with a table twice as large
     edges = frozenset(chain(((0, 1),), zip(pa, grown))) | frozenset(zip(pb, grown))
@@ -244,3 +247,18 @@ def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
     if depth < 0 or margin < 0:
         raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
     return _odd_parents(_grow(depth))[2]
+
+
+def odd_subtree(depth: int) -> tuple[list[str], list[tuple[int, int]]]:
+    """The odd tree of the depth-``depth`` ball as slope labels in BFS
+    order from 1/0 (children by increasing id) and local edges (i, j),
+    i < j, between BFS positions, read off the odd-parent column."""
+    build = _grow(depth)
+    children = [[] for _ in build.nums]
+    for c, p in enumerate(_odd_parents(build)[0]):
+        if p >= 0:
+            children[p].append(c)
+    order = complexes.bfs_order(children, 0)
+    pos = {vid: j for j, vid in enumerate(order)}
+    labels = [_label(build.nums[vid], build.dens[vid]) for vid in order]
+    return labels, [(pos[a], pos[b]) for a in order for b in children[a]]

@@ -3,11 +3,12 @@ oracles kept deliberately separate from the library implementations."""
 
 import math
 import re
+from collections import deque
 from functools import partial
 from operator import itemgetter
 
 from heegaard2 import complexes, farey, fgroup
-from heegaard2.complexes import KIND_SLOPE
+from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Complex, Vertex
 from heegaard2.goeritz import Presentation
 
 _INV = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
@@ -449,6 +450,43 @@ def odd_graft_tree_oracle(farey_depth):
         if a in pos and b in pos
     )
     return [labels[vid] for vid in order], local_edges
+
+
+# ``sp_tree_model`` as first written, verbatim: breadth-first growth
+# simulated with a deque of free whites, a ``None`` root sentinel and a
+# black counter.  The library's plain-list growth must give an equal
+# complex or raise the same message.
+def sp_tree_model_oracle(black_count: int, whites_per_black: int) -> Complex:
+    """Bipartite tree of black (disk) and white (sphere) vertices, grown
+    breadth-first from one black root until ``black_count`` blacks exist.
+
+    Every black has valence ``whites_per_black``; every white joins at
+    most two blacks (the boundary whites of the truncation keep valence
+    one), encoding that a disjoint disk pair determines a unique sphere.
+    """
+    if black_count < 1 or whites_per_black < 1:
+        raise ValueError("black_count and whites_per_black must be positive")
+    vertices: list[Vertex] = []
+    edges: set[tuple[int, int]] = set()
+    free_whites: deque[int | None] = deque([None])  # None: the root joins no white
+    blacks = 0
+    while blacks < black_count:
+        if not free_whites:
+            raise ValueError(
+                "cannot grow the tree: no valence-one white left "
+                "(whites_per_black too small for black_count)"
+            )
+        w = free_whites.popleft()
+        b = len(vertices)
+        vertices.append(Vertex(b, KIND_BLACK, f"disk{blacks}"))
+        blacks += 1
+        if w is not None:
+            edges.add((w, b))
+        for w2 in range(b + 1, b + 1 + whites_per_black - (w is not None)):
+            vertices.append(Vertex(w2, KIND_WHITE, f"sphere{w2 - blacks}"))
+            edges.add((b, w2))
+            free_whites.append(w2)
+    return Complex(tuple(vertices), frozenset(edges))
 
 
 def cone_check_oracle(c):

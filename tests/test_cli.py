@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import heegaard2
 from heegaard2 import cli, complexes, farey, goeritz
@@ -283,6 +286,78 @@ def test_one_mode_per_invocation(capsys, monkeypatch, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cone", "0"], "--cone must be positive"),
+        (["--cone", "-3"], "--cone must be positive"),
+        (["--blacks", "0", "--whites-per-black", "2", "--farey-depth", "1"],
+         "--blacks must be positive"),
+        (["--blacks", "2", "--whites-per-black", "0", "--farey-depth", "1"],
+         "--whites-per-black must be positive"),
+        (["--blacks", "2", "--whites-per-black", "2", "--farey-depth", "-1"],
+         "--farey-depth must be non-negative"),
+        (["--blacks", "-1", "--whites-per-black", "0", "--farey-depth", "-1"],
+         "--blacks must be positive"),
+    ],
+    ids=["cone-0", "cone-negative", "blacks-0", "whites-per-black-0", "farey-depth-negative",
+         "all-three-out-of-range"],
+)
+def test_sphere_complex_names_the_flag_out_of_range(capsys, monkeypatch, argv, message):
+    def no_build(*args):
+        raise AssertionError("built before checking the flags")
+
+    for name in ("sp_cone_model", "haken_complex_model", "sp_tree_model"):
+        monkeypatch.setattr(complexes, name, no_build)
+    for name in ("odd_subtree", "_grow"):
+        monkeypatch.setattr(farey, name, no_build)
+    assert run(capsys, "sphere-complex", *argv) == (1, "", f"error: {message}\n")
+
+
+_INT = st.integers(-3, 9).map(str)  # small enough that every build is quick
+_JUNK = st.sampled_from(["", "\u0663", "1_0", "+5", "x"]) | st.text("xyXY", max_size=6)
+_FORMAT, _GRAPH_FORMAT = st.sampled_from(["text", "json"]), st.sampled_from(["text", "json", "dot"])
+_SUMMAND = st.just("s2xs1") | st.builds("lens:{},{}".format, st.integers(-3, 9), st.integers(-3, 9))
+_TOKENS = st.lists(st.sampled_from(["a", "b", "b'", "d", "t", "t'", "g1"]), max_size=4)
+# each subcommand's flags and their values; a switch takes none
+_FUZZ_FLAGS = {
+    "words": {"--p1": _INT, "--q1": _INT, "--p2": _INT, "--q2": _INT, "--index": _INT,
+              "--format": _FORMAT},
+    "primitive": {},
+    "classify": {"--m1": _SUMMAND, "--m2": _SUMMAND, "--format": _FORMAT},
+    "goeritz": {"--case": st.sampled_from(["1a", "1b", "2", "3"]),
+                "--normal-form": _TOKENS.map(" ".join), "--abelianization": None,
+                "--format": _FORMAT},
+    "farey": {"--max-depth": _INT, "--odd": None, "--check-tree": None,
+              "--format": _GRAPH_FORMAT},
+    "sphere-complex": {"--blacks": _INT, "--whites-per-black": _INT, "--farey-depth": _INT,
+                       "--cone": _INT, "--format": _GRAPH_FORMAT},
+}
+
+
+@given(st.data())
+def test_cli_fuzz_exits_0_or_1_with_one_error_line(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    pieces = []
+    for flag, values in _FUZZ_FLAGS[command].items():
+        if data.draw(st.integers(0, 2)):  # each flag given twice in three draws
+            pieces.append((flag,) if values is None else (flag, data.draw(values)))
+    # and at most one fault: a flag with junk or without its value, an unknown
+    # flag or a stray value (the word of ``primitive``), all in any order
+    flag = st.sampled_from([*_FUZZ_FLAGS[command], "--bogus", "-z"])
+    pieces += data.draw(st.lists(st.tuples(flag, _JUNK) | st.tuples(flag | _INT | _JUNK),
+                                 max_size=1))
+    argv = [command, *(token for piece in data.draw(st.permutations(pieces)) for token in piece)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().splitlines()[-1].startswith("error:"), argv
 
 
 # one valid invocation per subcommand with integer flags, naming every flag

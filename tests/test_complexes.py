@@ -104,6 +104,15 @@ def test_sp_tree_growth_error():
         complexes.sp_tree_model(0, 2)
 
 
+def test_range_errors_name_the_library_parameters():
+    with pytest.raises(ValueError, match="^base_size must be positive$"):
+        complexes.sp_cone_model(0)
+    with pytest.raises(ValueError, match="^black_count and whites_per_black must be positive$"):
+        complexes.haken_complex_model(2, 0, 1)
+    with pytest.raises(ValueError, match="^depth must be non-negative$"):
+        complexes.haken_complex_model(2, 2, -1)
+
+
 def test_haken_single_black_is_the_odd_subtree():
     depth = 3
     cpx = complexes.haken_complex_model(1, 3, depth)

@@ -1,6 +1,7 @@
 """The frontier-grown Farey ball, its odd-parent column, the one-build
-reach check and the odd graft tree against the rescan oracles in
-``helpers`` and the labelled odd subcomplex."""
+reach check, the odd subtree and the bipartite disk-sphere tree against
+the rescan and deque oracles in ``helpers`` and the labelled odd
+subcomplex."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from helpers import (
     odd_subcomplex_oracle,
     reach_oracle,
     rehang_build,
+    sp_tree_model_oracle,
     stern_brocot_ball_oracle,
 )
 
@@ -42,8 +44,8 @@ def test_ball_is_the_id_prefix_of_a_deeper_ball():
 
 
 def test_odd_graft_tree_matches_oracle():
-    for depth in range(7):
-        slots, local_edges = complexes._odd_graft_tree(depth)
+    for depth in range(11):
+        slots, local_edges = farey.odd_subtree(depth)
         oracle_slots, oracle_edges = odd_graft_tree_oracle(depth)
         assert slots == oracle_slots, depth
         assert sorted(tuple(sorted(e)) for e in local_edges) == oracle_edges, depth
@@ -65,9 +67,39 @@ def test_haken_model_matches_oracle_graft_on_criterion_6_grid(monkeypatch):
         for whites in range(1, 9)
     ]
     built = [_model_or_error(*args) for args in grid]
-    monkeypatch.setattr(complexes, "_odd_graft_tree", odd_graft_tree_oracle)
+    monkeypatch.setattr(farey, "odd_subtree", odd_graft_tree_oracle)
     for args, got in zip(grid, built):
         assert got == _model_or_error(*args), args
+
+
+def test_odd_subtree_edges_run_from_earlier_to_later_bfs_positions():
+    for depth in range(11):
+        slots, local_edges = farey.odd_subtree(depth)
+        assert slots[0] == "1/0"
+        assert all(i < j for i, j in local_edges), depth
+        # a tree on the slots, each vertex but 1/0 hanging on one earlier one
+        assert sorted(j for _, j in local_edges) == list(range(1, len(slots))), depth
+
+
+def test_odd_subtree_and_ball_labels_read_back_through_slope_from_label():
+    labels = farey.odd_subtree(10)[0] + [v.label for v in farey.stern_brocot_ball(10).vertices]
+    for label in labels:
+        assert str(farey.slope_from_label(label)) == label
+
+
+def _tree_or_error(build, blacks, whites):
+    try:
+        return build(blacks, whites)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sp_tree_model_matches_the_deque_oracle():
+    for blacks in range(41):
+        for whites in range(9):
+            assert _tree_or_error(complexes.sp_tree_model, blacks, whites) == _tree_or_error(
+                sp_tree_model_oracle, blacks, whites
+            ), (blacks, whites)
 
 
 def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
