@@ -8,9 +8,13 @@ and cone models).
 
 Exit codes: 0 success, 1 usage or validation error, 2 a verified
 invariant was violated (a check answered false, or the library raised
-anything but ``ValueError``, reported on one ``error:`` line).  A stdout
-closed by its reader (as in ``| head -1``) is no failure: output stops
-quietly, with exit 0 unless a check has already answered false.
+anything but ``ValueError``, reported on one ``error:`` line).  Each
+command returns its exit code and its output text (without the final
+newline), and ``main`` alone writes that text to stdout, once, after the
+command has returned: stdout stays empty on exit 1 and on an ``error:``
+exit 2.  A stdout closed by its reader (as in ``| head -1``) is no
+failure and keeps the command's exit code, so a check that answered
+false still exits 2.
 """
 
 import argparse
@@ -43,22 +47,21 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _print_json(payload) -> None:
+def _json(payload) -> str:
     import json
-    print(json.dumps(payload, sort_keys=True))
+    return json.dumps(payload, sort_keys=True)
 
 
-def _print_complex(cpx, fmt: str, last_line: str) -> None:
+def _render_complex(cpx, fmt: str, last_line: str) -> str:
     from . import complexes
     if fmt == "dot":
-        print(complexes.to_dot(cpx))
-    elif fmt == "json":
-        _print_json(complexes.to_json(cpx))
-    else:
-        print(f"vertices: {len(cpx.vertices)}\nedges: {len(cpx.edges)}\n{last_line}")
+        return complexes.to_dot(cpx)
+    if fmt == "json":
+        return _json(complexes.to_json(cpx))
+    return f"vertices: {len(cpx.vertices)}\nedges: {len(cpx.edges)}\n{last_line}"
 
 
-def _cmd_words(args) -> int:
+def _cmd_words(args) -> tuple[int, str]:
     from . import fgroup, surgery
     params = surgery.SplittingParams(args.p1, args.q1, args.p2, args.q2)
     if args.index is not None:
@@ -67,46 +70,36 @@ def _cmd_words(args) -> int:
         items = list(enumerate(surgery.surgery_sequence(params), start=1))
     if args.format == "json":
         records = [{"i": i, "word": fgroup.format_word(w)} for i, w in items]
-        _print_json(records[0] if args.index is not None else records)
-    else:
-        for _, w in items:
-            print(fgroup.format_word(w))
-    return 0
+        return 0, _json(records[0] if args.index is not None else records)
+    return 0, "\n".join(fgroup.format_word(w) for _, w in items)
 
 
-def _cmd_primitive(args) -> int:
+def _cmd_primitive(args) -> tuple[int, str]:
     from . import fgroup
     word = fgroup.parse_word(args.word)
     verdict = fgroup.primitive_power_root(word)
     if verdict.kind == "power-of-primitive":
-        print(f"power-of-primitive({fgroup.format_word(verdict.root)}, {verdict.exponent})")
-        print(f"criterion: primitive root {fgroup.format_word(verdict.root)} repeated {verdict.exponent} times")
-    elif verdict.kind == "trivial":
-        print("trivial")
-        print("criterion: the word reduces to the empty word")
-    elif verdict.kind == "primitive":
-        print("primitive")
-        print("criterion: whitehead reduction reaches length 1")
-    else:
-        print("neither")
-        reason = fgroup.letter_obstruction_reason(word)
-        print(f"criterion: {reason or 'whitehead reduction stops above length 1'}")
-    return 0
+        root, k = fgroup.format_word(verdict.root), verdict.exponent
+        return 0, (f"power-of-primitive({root}, {k})\n"
+                   f"criterion: primitive root {root} repeated {k} times")
+    if verdict.kind == "trivial":
+        return 0, "trivial\ncriterion: the word reduces to the empty word"
+    if verdict.kind == "primitive":
+        return 0, "primitive\ncriterion: whitehead reduction reaches length 1"
+    reason = fgroup.letter_obstruction_reason(word)
+    return 0, f"neither\ncriterion: {reason or 'whitehead reduction stops above length 1'}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, str]:
     from . import classify
     m1 = classify.parse_summand(args.m1)
     m2 = classify.parse_summand(args.m2)
     descriptors = classify.splittings(m1, m2)
     if args.format == "json":
         splittings = [{"case": d.case, "symmetric": d.symmetric} for d in descriptors]
-        _print_json({"count": len(descriptors), "splittings": splittings})
-    else:
-        print(f"count: {len(descriptors)}")
-        for d in descriptors:
-            print(f"splitting: case={d.case} symmetric={_bool(d.symmetric)}")
-    return 0
+        return 0, _json({"count": len(descriptors), "splittings": splittings})
+    lines = [f"splitting: case={d.case} symmetric={_bool(d.symmetric)}" for d in descriptors]
+    return 0, "\n".join([f"count: {len(descriptors)}", *lines])
 
 
 def _format_abelian(inv) -> str:
@@ -118,7 +111,7 @@ def _format_abelian(inv) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_goeritz(args) -> int:
+def _cmd_goeritz(args) -> tuple[int, str]:
     from . import goeritz
     presentation = goeritz.goeritz_presentation(args.case)
     if args.normal_form is not None:
@@ -133,14 +126,10 @@ def _cmd_goeritz(args) -> int:
     else:
         payload = goeritz.presentation_json(presentation)
         text = goeritz.presentation_text(presentation)
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(text)
-    return 0
+    return 0, _json(payload) if args.format == "json" else text
 
 
-def _cmd_farey(args) -> int:
+def _cmd_farey(args) -> tuple[int, str]:
     from . import farey
     if args.max_depth < 0:
         raise ValueError("--max-depth must be non-negative")
@@ -150,15 +139,14 @@ def _cmd_farey(args) -> int:
         raise ValueError(f"--check-tree prints text only, not --format {args.format}")
     if args.check_tree:
         _, forest_ok, reach_ok = farey._odd_parents(farey._grow(args.max_depth))
-        print(f"forest: {_bool(forest_ok)}\nconnected to 1/0 within depth+2: {_bool(reach_ok)}")
-        return 0 if forest_ok and reach_ok else 2
+        text = f"forest: {_bool(forest_ok)}\nconnected to 1/0 within depth+2: {_bool(reach_ok)}"
+        return 0 if forest_ok and reach_ok else 2, text
     ball = farey.stern_brocot_ball(args.max_depth)
     cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
-    _print_complex(cpx, args.format, f"triangles: {len(cpx.triangles)}")
-    return 0
+    return 0, _render_complex(cpx, args.format, f"triangles: {len(cpx.triangles)}")
 
 
-def _cmd_sphere_complex(args) -> int:
+def _cmd_sphere_complex(args) -> tuple[int, str]:
     from . import complexes
     flags = {"--blacks": args.blacks, "--whites-per-black": args.whites_per_black,
              "--farey-depth": args.farey_depth}
@@ -177,8 +165,7 @@ def _cmd_sphere_complex(args) -> int:
                 raise ValueError(f"{flag} must be {'positive' if least else 'non-negative'}")
         cpx = complexes.haken_complex_model(args.blacks, args.whites_per_black, args.farey_depth)
         verdict, ok = "tree", complexes.is_tree(cpx)
-    _print_complex(cpx, args.format, f"{verdict}: {_bool(ok)}")
-    return 0 if ok else 2
+    return 0 if ok else 2, _render_complex(cpx, args.format, f"{verdict}: {_bool(ok)}")
 
 
 def build_parser() -> _Parser:
@@ -235,11 +222,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, text = args.func(args)
+        try:
+            print(text)
+        except BrokenPipeError:
+            pass  # the reader has left: no failure, and the command's code stands
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except BrokenPipeError:
-        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ safe to call concurrently.
 """
 
 import re
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 ALPHABET = "xXyY"
@@ -310,25 +311,23 @@ def word_from_intersections(crossings: Iterable[tuple[str, int]]) -> str:
     return cyclic_canonical("".join(letters))
 
 
+def _christoffel(p: int, q: int) -> str:
+    # the lower Christoffel word of slope q/p: p letters x and q letters y,
+    # letter i being y exactly when the line of slope q/p steps up after it
+    n = p + q
+    return "".join("y" if (i + 1) * q // n > i * q // n else "x" for i in range(n))
+
+
 def primitive_words_up_to(max_len: int) -> set[str]:
     """All primitive cyclic words of length at most ``max_len``, as
-    canonical forms, enumerated by closing the automorphism orbit of the
-    generator x under Whitehead moves and letter symmetries."""
-    if max_len < 1:
-        return set()
-    seen = {"x"}
-    frontier = ["x"]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            images = [
-                cyclic_canonical(apply_endomorphism(w, xi, yi))
-                for xi, yi in WHITEHEAD_AUTOMORPHISMS
-            ]
-            images.extend(cyclic_canonical(s) for s in letter_symmetries(w))
-            for img in images:
-                if 1 <= len(img) <= max_len and img not in seen:
-                    seen.add(img)
-                    fresh.append(img)
-        frontier = fresh
-    return seen
+    canonical forms.  Up to a letter symmetry, a primitive conjugacy class
+    is that of the Christoffel word of a coprime pair p, q >= 0
+    (Osborne-Zieschang, Invent. Math. 63 (1981)), so these are the
+    canonical forms of the letter symmetries of those words."""
+    return {
+        cyclic_canonical(s)
+        for n in range(1, max_len + 1)
+        for p in range(n + 1)
+        if gcd(p, n - p) == 1
+        for s in letter_symmetries(_christoffel(p, n - p))
+    }

@@ -550,3 +550,27 @@ def forest_oracle(vertex_ids, edges):
                     queue.append(w)
     forest = len(edges) == len(adj) - components
     return forest, forest and components == 1
+
+
+def primitive_words_orbit_oracle(max_len: int) -> set[str]:
+    """All primitive cyclic words of length at most ``max_len``, as
+    canonical forms, enumerated by closing the automorphism orbit of the
+    generator x under Whitehead moves and letter symmetries."""
+    if max_len < 1:
+        return set()
+    seen = {"x"}
+    frontier = ["x"]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            images = [
+                fgroup.cyclic_canonical(fgroup.apply_endomorphism(w, xi, yi))
+                for xi, yi in fgroup.WHITEHEAD_AUTOMORPHISMS
+            ]
+            images.extend(fgroup.cyclic_canonical(s) for s in fgroup.letter_symmetries(w))
+            for img in images:
+                if 1 <= len(img) <= max_len and img not in seen:
+                    seen.add(img)
+                    fresh.append(img)
+        frontier = fresh
+    return seen

@@ -21,6 +21,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 def test_words_text(capsys):
     code, out, _ = run(capsys, "words", "--p1", "3", "--q1", "1", "--p2", "2")
     assert code == 0
@@ -230,9 +235,33 @@ def test_farey_check_tree_grows_the_ball_once(capsys, monkeypatch):
 def test_farey_check_tree_exits_2_on_a_damaged_build(capsys, monkeypatch, damage, line):
     grow = farey._grow
     monkeypatch.setattr(farey, "_grow", lambda depth: damage(grow(depth)))
-    code, out, _ = run(capsys, "farey", "--max-depth", "3", "--odd", "--check-tree")
-    assert code == 2
+    argv = ["farey", "--max-depth", "3", "--odd", "--check-tree"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
     assert line in out.splitlines()
+    # a reader that has left does not turn the false verdict into exit 0
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "check, argv, line",
+    [
+        ("is_tree", ["--blacks", "2", "--whites-per-black", "2", "--farey-depth", "2"],
+         "tree: false"),
+        ("cone_check", ["--cone", "4"], "cone: false"),
+    ],
+    ids=["graft", "cone"],
+)
+def test_sphere_complex_exits_2_on_a_false_verdict(capsys, monkeypatch, check, argv, line):
+    monkeypatch.setattr(complexes, check, lambda cpx: False)
+    code, out, err = run(capsys, "sphere-complex", *argv)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == line
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code, _, err = run(capsys, "sphere-complex", *argv)
+    assert (code, err) == (2, "")
 
 
 def test_farey_check_tree_requires_odd(capsys):
@@ -358,6 +387,11 @@ def test_cli_fuzz_exits_0_or_1_with_one_error_line(data):
     if code == 1:
         assert out.getvalue() == "", argv
         assert err.getvalue().splitlines()[-1].startswith("error:"), argv
+    # a closed stdout changes neither the exit code nor stderr
+    closed_err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(closed_err):
+        assert cli.main(argv) == code, argv
+    assert closed_err.getvalue() == err.getvalue(), argv
 
 
 # one valid invocation per subcommand with integer flags, naming every flag
@@ -401,15 +435,20 @@ def test_internal_error_exits_2_with_one_line(capsys, monkeypatch, argv):
     assert err == "error: AssertionError: expected one new apex on edge 1/0-1/1 second line\n"
 
 
-class _ClosedPipe(io.StringIO):
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-
 def test_closed_stdout_exits_0_without_an_error_line(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert cli.main(["farey", "--max-depth", "2", "--format", "json"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_failed_write_exits_2_with_one_line(capsys, monkeypatch):
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDevice())
+    assert cli.main(["primitive", "x"]) == 2
+    assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
 
 
 def _fresh_env():

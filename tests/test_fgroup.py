@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     least_rotation_oracle,
     letter_obstruction_reason_oracle,
     power_root_oracle,
+    primitive_words_orbit_oracle,
     subword_obstruction_oracle,
 )
 
@@ -174,8 +176,8 @@ def test_is_primitive_examples():
 
 
 def test_is_primitive_matches_orbit_enumeration():
-    # bidirectional check of the greedy decision procedure against a
-    # breadth-first closure of the automorphism orbit of x
+    # bidirectional check of the greedy Whitehead decider against the
+    # enumeration of primitive words from Christoffel words
     orbit = fgroup.primitive_words_up_to(8)
     found = set()
     for w in cyclically_reduced_words(8):
@@ -249,6 +251,32 @@ def test_primitive_words_up_to_smallest():
     assert "xy" in words and "xY" in words
     assert all(len(w) <= 2 for w in words)
     assert fgroup.primitive_words_up_to(0) == set()
+
+
+def test_primitive_words_up_to_matches_orbit_closure():
+    for max_len in range(15):
+        assert fgroup.primitive_words_up_to(max_len) == primitive_words_orbit_oracle(max_len)
+
+
+@st.composite
+def _christoffel_powers(draw):
+    n = draw(st.integers(1, 60))
+    p = draw(st.integers(0, n).filter(lambda p: math.gcd(p, n - p) == 1))
+    k = draw(st.integers(1, 3))
+    word = fgroup._christoffel(p, n - p) * k
+    word = list(fgroup.letter_symmetries(word))[draw(st.integers(0, 7))]
+    turn = draw(st.integers(0, len(word) - 1))
+    return word[turn:] + word[:turn], k
+
+
+@given(_christoffel_powers())
+def test_christoffel_powers_are_primitive_powers(word_and_k):
+    word, k = word_and_k
+    verdict = fgroup.primitive_power_root(word)
+    if k == 1:
+        assert verdict.kind == "primitive", word
+    else:
+        assert (verdict.kind, verdict.exponent) == ("power-of-primitive", k), word
 
 
 def _doubled_word_answers(w):
