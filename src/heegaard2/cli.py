@@ -8,13 +8,13 @@ and cone models).
 
 Exit codes: 0 success, 1 usage or validation error, 2 a verified
 invariant was violated (a check answered false, or the library raised
-anything but ``ValueError``, reported on one ``error:`` line).  Each
-command returns its exit code and its output text (without the final
-newline), and ``main`` alone writes that text to stdout, once, after the
-command has returned: stdout stays empty on exit 1 and on an ``error:``
-exit 2.  A stdout closed by its reader (as in ``| head -1``) is no
-failure and keeps the command's exit code, so a check that answered
-false still exits 2.
+anything but ``ValueError`` or a write to stdout failed, reported on one
+``error:`` line).  Each command returns its exit code and its output
+text (without the final newline), and ``main`` alone writes that text to
+stdout, once, after the command has returned: stdout stays empty on exit
+1 and on an ``error:`` exit 2.  A stdout closed by its reader (as in
+``| head -1``) is no failure and keeps the command's exit code, so a
+check that answered false still exits 2.
 """
 
 import argparse
@@ -225,6 +225,7 @@ def main(argv=None) -> int:
         code, text = args.func(args)
         try:
             print(text)
+            sys.stdout.flush()  # a write error in buffered output shows here
         except BrokenPipeError:
             pass  # the reader has left: no failure, and the command's code stands
         return code
@@ -242,10 +243,14 @@ def entry_point() -> None:
     code = main()
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: point stdout at devnull, so that the
-        # interpreter's own flush at exit has no pipe to fail on
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError:
+        # main has set the code; the output is still buffered, so point stdout
+        # at devnull: the interpreter's own flush at exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except ValueError:  # a stream without a file descriptor, or a closed one
+            sys.stdout = os.fdopen(devnull, "w")
     sys.exit(code)
 
 

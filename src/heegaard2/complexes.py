@@ -3,15 +3,17 @@ them: the bipartite black/white disk-and-sphere tree, the sphere-complex
 model obtained by grafting copies of ``farey.odd_subtree`` onto it, and
 the cone model for the case with a reducing disk.
 
-A complex stores vertices (id, kind, label), an edge set and an optional
-triangle layer.  Complexes are immutable after construction and every
-operation here is pure.
+A complex is a column store: vertex ids, kinds and labels, and the ends
+of its edges and triangles.  Its fields ``vertices``, ``edges`` and
+``triangles`` are built on first read; the checks and writers read the
+columns, so a complex only checked or written never builds them.
+Complexes are immutable after construction and every operation is pure.
 """
 
-from collections import namedtuple
-from itertools import repeat
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import attrgetter, lt
+from typing import Iterable, NamedTuple
 
 KIND_BLACK = "black"  # disk vertices of the subdivided tree
 KIND_WHITE = "white"  # sphere vertices (valence 2 inside, 1 on the boundary)
@@ -27,44 +29,87 @@ class Vertex(NamedTuple):
     label: str
 
 
-def _vertices(ids: Iterable[int], kind: str, labels: Iterable[str]) -> Iterator[Vertex]:
-    """Vertices of one kind, as ``Vertex._make`` makes them, at C speed."""
-    return map(tuple.__new__, repeat(Vertex), zip(ids, repeat(kind), labels))
+def _frozenset(columns) -> frozenset:
+    """The rows of equally long columns.  A union of two sets sizes its table
+    once; a set grown one row at a time ends up to twice as large."""
+    rows = zip(*columns)
+    return frozenset(islice(rows, len(columns[0]) // 2)) | frozenset(rows)
 
 
-class Complex(namedtuple("Complex", "vertices edges triangles")):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
+_fields_of = attrgetter("vertices", "edges", "triangles")
 
-    def __new__(cls, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
-                triangles: frozenset[tuple[int, int, int]] = frozenset()):
-        idset = set(map(itemgetter(0), vertices))
-        if len(idset) != len(vertices):
+
+class Complex:
+    """Vertices (id, kind, label) with distinct ids and known kinds, edges (a, b)
+    with a < b between them and triangles (a, b, c) whose edges are edges, each
+    simplex once.  A value record: equal and hashed by its three fields, which
+    are read-only; ``_replace`` and ``_make`` validate."""
+
+    def __init__(self, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
+                 triangles: frozenset[tuple[int, int, int]] = frozenset()):
+        vars(self).update(vertices=vertices, edges=edges, triangles=triangles)
+        ids, kinds, labels = zip(*vertices) if vertices else ((), (), ())
+        self._fill(ids, kinds, labels, tuple(zip(*edges)) or ((), ()),
+                   tuple(zip(*triangles)) or ((), (), ()))
+
+    def _fill(self, ids, kinds, labels, edge_ends, triangle_ends=((), (), ())) -> "Complex":
+        """Keep the columns the caller hands over; raise ``ValueError`` at their first defect,
+        with the message and in the order of a check of each vertex, edge and triangle."""
+        vars(self).update(_ids=ids, _kinds=kinds, _labels=labels, _edge_ends=edge_ends,
+                          _triangle_ends=triangle_ends)
+        idset = set(ids)
+        if len(idset) != len(ids):
             raise ValueError("duplicate vertex ids")
-        if unknown := set(map(itemgetter(1), vertices)).difference(KINDS):
-            kind = next(v.kind for v in vertices if v.kind in unknown)
-            raise ValueError(f"unknown vertex kind {kind!r}")
-        for a, b in edges:
-            if not (a < b) or a not in idset or b not in idset:
-                raise ValueError(f"bad edge ({a}, {b})")
+        if unknown := set(kinds).difference(KINDS):
+            raise ValueError(f"unknown vertex kind {next(k for k in kinds if k in unknown)!r}")
+        ea, eb = edge_ends
+        if not (all(map(lt, ea, eb)) and idset.issuperset(ea) and idset.issuperset(eb)):
+            for a, b in zip(ea, eb):
+                if not (a < b) or a not in idset or b not in idset:
+                    raise ValueError(f"bad edge ({a}, {b})")
         # edges are ordered, so a triangle whose three edges are edges is
         # ordered too; only a failure pays for the loop naming the first one
-        ta, tb, tc = zip(*triangles) if triangles else ((), (), ())
-        if not all(map(edges.issuperset, (zip(ta, tb), zip(ta, tc), zip(tb, tc)))):
-            for a, b, c in triangles:
+        ta, tb, tc = triangle_ends
+        if ta and not all(map(self.edges.issuperset, (zip(ta, tb), zip(ta, tc), zip(tb, tc)))):
+            for a, b, c in zip(ta, tb, tc):
                 if not (a < b < c):
                     raise ValueError(f"bad triangle ({a}, {b}, {c})")
                 for e in ((a, b), (a, c), (b, c)):
-                    if e not in edges:
+                    if e not in self.edges:
                         raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
-        return super().__new__(cls, vertices, edges, triangles)
+        return self
+
+    # the complex on columns ids, kinds, labels, edge and triangle ends; fields built on first read
+    _of = classmethod(lambda cls, *columns: object.__new__(cls)._fill(*columns))
+
+    vertices = cached_property(
+        lambda c: tuple(map(tuple.__new__, repeat(Vertex), zip(c._ids, c._kinds, c._labels))))
+    edges = cached_property(lambda c: _frozenset(c._edge_ends))
+    triangles = cached_property(lambda c: _frozenset(c._triangle_ends))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return _fields_of(self) == _fields_of(other) if isinstance(other, Complex) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_fields_of(self))
+
+    def __repr__(self) -> str:
+        return "Complex(vertices={!r}, edges={!r}, triangles={!r})".format(*_fields_of(self))
+
+    def _asdict(self) -> dict:
+        return dict(zip(("vertices", "edges", "triangles"), _fields_of(self)))
+
+    def _replace(self, **fields) -> "Complex":
+        return Complex(**(self._asdict() | fields))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates, as _replace does
 
 
-def make_complex(
-    vertices: Iterable[Vertex],
-    edges: Iterable[tuple[int, int]] = (),
-    triangles: Iterable[tuple[int, int, int]] = (),
-) -> Complex:
+def make_complex(vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]] = (),
+                 triangles: Iterable[tuple[int, int, int]] = ()) -> Complex:
     """Normalize (sort ids inside simplices) and validate."""
     vs = tuple(sorted(vertices, key=lambda v: v.id))
     es = frozenset(tuple(sorted(e)) for e in edges)
@@ -73,8 +118,8 @@ def make_complex(
 
 
 def neighbors(c: Complex) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v.id: [] for v in c.vertices}
-    for a, b in c.edges:
+    adj: dict[int, list[int]] = {i: [] for i in c._ids}
+    for a, b in zip(*c._edge_ends):
         adj[a].append(b)
         adj[b].append(a)
     for lst in adj.values():
@@ -104,8 +149,8 @@ def bfs_order(adj, start: int) -> list[int]:
 
 def is_forest(c: Complex) -> bool:
     """True when the 1-skeleton has no cycle."""
-    parent = {v.id: v.id for v in c.vertices}
-    for a, b in c.edges:
+    parent = dict(zip(c._ids, c._ids))
+    for a, b in zip(*c._edge_ends):
         # union-find with path halving: replace a and b by their roots
         while (up := parent[a]) != a:
             parent[a] = a = parent[up]
@@ -113,53 +158,47 @@ def is_forest(c: Complex) -> bool:
             parent[b] = b = parent[up]
         if a == b:
             return False
-        parent[a] = b
+        parent[b] = a  # builders list an edge (a, b) mostly as b joins: b stays near the root
     return True
 
 
 def is_tree(c: Complex) -> bool:
     """True when the 1-skeleton is a nonempty connected acyclic graph."""
-    if not c.vertices:
-        return False
-    return is_forest(c) and len(c.edges) == len(c.vertices) - 1
+    return bool(c._ids) and len(c._edge_ends[0]) == len(c._ids) - 1 and is_forest(c)
 
 
 def dimension(c: Complex) -> int | None:
     """Largest simplex dimension present; None for the empty complex."""
-    if not c.vertices:
+    if not c._ids:
         return None
-    if c.triangles:
-        return 2
-    if c.edges:
-        return 1
-    return 0
+    return 2 if c._triangle_ends[0] else 1 if c._edge_ends[0] else 0
+
+
+def _cut(columns, mask) -> list[list]:
+    mask = list(mask)
+    return [list(compress(column, mask)) for column in columns]
 
 
 def induced(c: Complex, keep: Iterable[int]) -> Complex:
     """Full subcomplex on the given vertex ids."""
     keep = set(keep)
-    vs = tuple(v for v in c.vertices if v.id in keep)
-    es = frozenset(filter(keep.issuperset, c.edges))
-    ts = frozenset(filter(keep.issuperset, c.triangles))
-    return Complex(vs, es, ts)
+    vertex_columns = _cut((c._ids, c._kinds, c._labels), map(keep.__contains__, c._ids))
+    simplex_ends = (_cut(ends, map(keep.issuperset, zip(*ends))) for ends in (c._edge_ends, c._triangle_ends))
+    return Complex._of(*vertex_columns, *simplex_ends)
 
 
 def to_json(c: Complex) -> dict:
     return {
-        "vertices": [
-            {"id": v.id, "kind": v.kind, "label": v.label} for v in c.vertices
-        ],
-        "edges": [list(e) for e in sorted(c.edges)],
-        "triangles": [list(t) for t in sorted(c.triangles)],
+        "vertices": [{"id": i, "kind": kind, "label": label}
+                     for i, kind, label in zip(c._ids, c._kinds, c._labels)],
+        "edges": [list(e) for e in sorted(zip(*c._edge_ends))],
+        "triangles": [list(t) for t in sorted(zip(*c._triangle_ends))],
     }
 
 
 def from_json(data: dict) -> Complex:
-    return make_complex(
-        (Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"]),
-        (tuple(e) for e in data["edges"]),
-        (tuple(t) for t in data.get("triangles", [])),
-    )
+    vertices = (Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"])
+    return make_complex(vertices, data["edges"], data.get("triangles", []))
 
 
 _DOT_ATTRS = {
@@ -172,12 +211,10 @@ _DOT_ATTRS = {
 
 def to_dot(c: Complex, name: str = "complex") -> str:
     lines = [f"graph {name} {{"]
-    for v in c.vertices:
-        lines.append(f'  v{v.id} [label="{v.label}", {_DOT_ATTRS[v.kind]}];')
-    for a, b in sorted(c.edges):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)
+    lines += (f'  v{i} [label="{label}", {_DOT_ATTRS[kind]}];'
+              for i, kind, label in zip(c._ids, c._kinds, c._labels))
+    lines += (f"  v{a} -- v{b};" for a, b in sorted(zip(*c._edge_ends)))
+    return "\n".join(lines + ["}"])
 
 
 def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
@@ -190,24 +227,23 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
     """
     if black_count < 1 or whites_per_black < 1:
         raise ValueError("black_count and whites_per_black must be positive")
-    vertices: list[Vertex] = []
-    edges: set[tuple[int, int]] = set()
+    kinds, labels, ea, eb = [], [], [], []
     whites: list[int] = []  # in id order, so black k > 0 joining whites[k - 1] is breadth-first
     for k in range(black_count):
         if k > len(whites):
-            raise ValueError(
-                "cannot grow the tree: no valence-one white left "
-                "(whites_per_black too small for black_count)"
-            )
-        b = len(vertices)
-        vertices.append(Vertex(b, KIND_BLACK, f"disk{k}"))
+            raise ValueError("cannot grow the tree: no valence-one white left "
+                             "(whites_per_black too small for black_count)")
+        b = len(kinds)
+        fresh = range(b + 1, b + 1 + whites_per_black - (k > 0))
+        kinds += (KIND_BLACK, *repeat(KIND_WHITE, len(fresh)))
+        labels += (f"disk{k}", *(f"sphere{j}" for j in range(len(whites), len(whites) + len(fresh))))
         if k:
-            edges.add((whites[k - 1], b))
-        for w in range(b + 1, b + 1 + whites_per_black - (k > 0)):
-            vertices.append(Vertex(w, KIND_WHITE, f"sphere{len(whites)}"))
-            edges.add((b, w))
-            whites.append(w)
-    return Complex(tuple(vertices), frozenset(edges))
+            ea.append(whites[k - 1])
+            eb.append(b)
+        ea += repeat(b, len(fresh))
+        eb += fresh
+        whites += fresh
+    return Complex._of(list(range(len(kinds))), kinds, labels, (ea, eb))
 
 
 def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
@@ -216,34 +252,26 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
     sp = sp_tree_model(black_count, whites_per_black)
     slots, local_edges = farey.odd_subtree(farey_depth)
     if whites_per_black > len(slots):
-        raise ValueError(
-            f"whites_per_black={whites_per_black} exceeds the "
-            f"{len(slots)} slots of the depth-{farey_depth} odd subtree"
-        )
-    whites = [v for v in sp.vertices if v.kind == KIND_WHITE]
-    white_ids = {v.id: j for j, v in enumerate(whites)}
-    vertices = [Vertex(j, KIND_WHITE, v.label) for j, v in enumerate(whites)]
+        raise ValueError(f"whites_per_black={whites_per_black} exceeds the "
+                         f"{len(slots)} slots of the depth-{farey_depth} odd subtree")
+    is_white = [kind == KIND_WHITE for kind in sp._kinds]
+    labels = list(compress(sp._labels, is_white))
+    white_ids = {w: j for j, w in enumerate(compress(sp._ids, is_white))}
     lo, hi = zip(*local_edges) if local_edges else ((), ())
-    edges: set[tuple[int, int]] = set()
-    adj = neighbors(sp)
-    graft: dict[str, list[int]] = {}
-    for v in sp.vertices:
-        if v.kind != KIND_BLACK:
-            continue
+    ea, eb, graft, adj = [], [], {}, neighbors(sp)
+    for b, label in compress(zip(sp._ids, sp._labels), map(KIND_BLACK.__eq__, sp._kinds)):
         # whites in id order, then fresh ids: copy is increasing, so i < j gives copy[i] < copy[j]
-        copy = [white_ids[w] for w in adj[v.id]]
-        fresh = range(len(vertices), len(vertices) + len(slots) - len(copy))
-        labels = map(f"{v.label}:".__add__, slots[len(copy):])
-        vertices += _vertices(fresh, KIND_SLOPE, labels)
-        copy += fresh
-        edges.update(zip(map(copy.__getitem__, lo), map(copy.__getitem__, hi)))
-        graft[v.label] = copy
-    return Complex(tuple(vertices), frozenset(edges)), graft
+        taken = [white_ids[w] for w in adj[b]]
+        copy = taken + list(range(len(labels), len(labels) + len(slots) - len(taken)))
+        labels += map(f"{label}:".__add__, slots[len(taken):])
+        ea += map(copy.__getitem__, lo)
+        eb += map(copy.__getitem__, hi)
+        graft[label] = copy
+    kinds = [KIND_WHITE] * len(white_ids) + [KIND_SLOPE] * (len(labels) - len(white_ids))
+    return Complex._of(list(range(len(labels))), kinds, labels, (ea, eb)), graft
 
 
-def haken_complex_model(
-    black_count: int, whites_per_black: int, farey_depth: int
-) -> Complex:
+def haken_complex_model(black_count: int, whites_per_black: int, farey_depth: int) -> Complex:
     """Model of the sphere complex: delete the blacks of the bipartite
     tree and graft, for each black, a copy of the truncated odd Farey
     tree whose first BFS vertices are identified with that black's
@@ -254,9 +282,8 @@ def haken_complex_model(
     return model
 
 
-def haken_graft_map(
-    black_count: int, whites_per_black: int, farey_depth: int
-) -> dict[str, list[int]]:
+def haken_graft_map(black_count: int, whites_per_black: int,
+                    farey_depth: int) -> dict[str, list[int]]:
     """For each black label of the underlying bipartite tree, the vertex
     ids of its grafted copy in BFS slot order (whites first)."""
     _, graft = _haken_build(black_count, whites_per_black, farey_depth)
@@ -269,23 +296,23 @@ def sp_cone_model(base_size: int) -> Complex:
     edge spans a triangle with the apex."""
     if base_size < 1:
         raise ValueError("base_size must be positive")
-    vertices = (Vertex(0, KIND_APEX, "reducing-disk"),) + tuple(
-        Vertex(i, KIND_BLACK, f"disk{i - 1}") for i in range(1, base_size + 1)
-    )
-    edges = {(0, i) for i in range(1, base_size + 1)}
-    edges |= {(i, i + 1) for i in range(1, base_size)}
-    triangles = frozenset((0, i, i + 1) for i in range(1, base_size))
-    return Complex(vertices, frozenset(edges), triangles)
+    ids = list(range(base_size + 1))
+    apex, base = ids[0], ids[1:]
+    kinds = [KIND_APEX] + [KIND_BLACK] * base_size
+    labels = ["reducing-disk", *map("disk{}".format, range(base_size))]
+    edge_ends = ([apex] * base_size + base[:-1], base + base[1:])
+    triangle_ends = ([apex] * (base_size - 1), base[:-1], base[1:])
+    return Complex._of(ids, kinds, labels, edge_ends, triangle_ends)
 
 
 def cone_check(c: Complex) -> bool:
     """Contractibility witness for cone models: a unique apex adjacent to
     every other vertex, whose deletion leaves a tree."""
-    apexes = [v.id for v in c.vertices if v.kind == KIND_APEX]
+    apexes = [i for i, kind in zip(c._ids, c._kinds) if kind == KIND_APEX]
     if len(apexes) != 1:
         return False
     apex = apexes[0]
-    others = {v.id for v in c.vertices if v.id != apex}
-    if {b if a == apex else a for a, b in c.edges if apex in (a, b)} != others:
+    others = {i for i in c._ids if i != apex}
+    if {b if a == apex else a for a, b in zip(*c._edge_ends) if apex in (a, b)} != others:
         return False
     return is_tree(induced(c, others))

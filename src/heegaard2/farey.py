@@ -25,9 +25,7 @@ has exactly one odd parent, with a smaller id (``_odd_parents``), and
 
 import re
 from collections import namedtuple
-from itertools import chain
 from math import gcd
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import complexes
@@ -168,17 +166,14 @@ def _grow(depth: int) -> _Build:
 
 
 def _ball(build: _Build) -> Complex:
-    """The complex of a build, with labels; its simplices share one int
+    """The complex of a build, with labels, on columns that share one int
     object per id."""
     ids = list(range(len(build.nums)))
     pa, pb = (list(map(ids.__getitem__, p)) for p in (build.pa, build.pb))
     grown = ids[2:]
-    labels = map(_label, build.nums, build.dens)
-    # a union of two sets sizes its table once; a set grown by one edge at
-    # a time ends with a table twice as large
-    edges = frozenset(chain(((0, 1),), zip(pa, grown))) | frozenset(zip(pb, grown))
-    vertices = tuple(complexes._vertices(ids, KIND_SLOPE, labels))
-    return Complex(vertices, edges, frozenset(zip(pa, pb, grown)))
+    labels = list(map(_label, build.nums, build.dens))
+    edge_ends = ([ids[0], *pa, *pb], [ids[1], *grown, *grown])
+    return Complex._of(ids, [KIND_SLOPE] * len(ids), labels, edge_ends, (pa, pb, grown))
 
 
 def stern_brocot_ball(depth: int) -> Complex:
@@ -200,14 +195,15 @@ def f_odd_subcomplex(c: Complex) -> Complex:
     """Full subcomplex on the odd-numerator vertices.  Every vertex must
     have kind slope and a label n/d of ASCII decimal integers; parity is
     the last digit before the ``/``."""
-    if {v.kind for v in c.vertices} - {KIND_SLOPE}:
-        v = next(v for v in c.vertices if v.kind != KIND_SLOPE)
-        raise ValueError(f"vertex {v.id} ({v.label!r}) has kind {v.kind!r}, not a slope")
-    found = list(map(_SLOPE.fullmatch, map(itemgetter(2), c.vertices)))
-    if None in found:
-        v = c.vertices[found.index(None)]
-        raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
-    keep = {v.id for v, m in zip(c.vertices, found) if m[1] in "13579"}
+    ids, kinds, labels = c._ids, c._kinds, c._labels
+    if set(kinds) - {KIND_SLOPE}:
+        j = next(j for j, kind in enumerate(kinds) if kind != KIND_SLOPE)
+        raise ValueError(f"vertex {ids[j]} ({labels[j]!r}) has kind {kinds[j]!r}, not a slope")
+    digits = [m and m[1] for m in map(_SLOPE.fullmatch, labels)]  # None for a bad label
+    if None in digits:
+        j = digits.index(None)
+        raise ValueError(f"vertex {ids[j]} has label {labels[j]!r}, not a slope n/d")
+    keep = {i for i, digit in zip(ids, digits) if digit in "13579"}
     return complexes.induced(c, keep)
 
 

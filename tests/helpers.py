@@ -364,7 +364,7 @@ def odd_subcomplex_oracle(c):
     """Full subcomplex on the vertices whose numerator, read by ``int`` up
     to the ``/`` and not by the library's label grammar, is odd."""
     keep = {v.id for v in c.vertices if int(v.label.partition("/")[0]) % 2}
-    return complexes.induced(c, keep)
+    return induced_oracle(c, keep)
 
 
 # ``f_odd_subcomplex`` as first written, verbatim: one MULTILINE regex pass
@@ -389,7 +389,7 @@ def f_odd_subcomplex_oracle(c):
         v = next(v for v in c.vertices if not re.fullmatch(_SLOPE_LABEL, v.label, re.ASCII))
         raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
     keep = {v.id for v, d in zip(c.vertices, digits) if d in "13579"}
-    return complexes.induced(c, keep)
+    return induced_oracle(c, keep)
 
 
 def printed_slope(label):
@@ -525,6 +525,58 @@ def validate_oracle(self):
         for e in ((a, b), (a, c), (b, c)):
             if e not in self.edges:
                 raise ValueError(f"triangle {(a, b, c)} is missing edge {e}")
+
+
+# The readers of the named-tuple ``Complex``, verbatim but for the names:
+# they read the ``vertices``, ``edges`` and ``triangles`` views, where the
+# library reads the columns.  ``cone_check_tuples_oracle`` calls the other
+# tuple readers, with ``is_tree`` written out.
+def induced_oracle(c, keep):
+    """Full subcomplex on the given vertex ids."""
+    keep = set(keep)
+    vs = tuple(v for v in c.vertices if v.id in keep)
+    es = frozenset(filter(keep.issuperset, c.edges))
+    ts = frozenset(filter(keep.issuperset, c.triangles))
+    return Complex(vs, es, ts)
+
+
+def to_json_oracle(c):
+    return {
+        "vertices": [
+            {"id": v.id, "kind": v.kind, "label": v.label} for v in c.vertices
+        ],
+        "edges": [list(e) for e in sorted(c.edges)],
+        "triangles": [list(t) for t in sorted(c.triangles)],
+    }
+
+
+def is_forest_oracle(c):
+    """True when the 1-skeleton has no cycle."""
+    parent = {v.id: v.id for v in c.vertices}
+    for a, b in c.edges:
+        # union-find with path halving: replace a and b by their roots
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+def cone_check_tuples_oracle(c):
+    """Contractibility witness for cone models: a unique apex adjacent to
+    every other vertex, whose deletion leaves a tree."""
+    apexes = [v.id for v in c.vertices if v.kind == complexes.KIND_APEX]
+    if len(apexes) != 1:
+        return False
+    apex = apexes[0]
+    others = {v.id for v in c.vertices if v.id != apex}
+    if {b if a == apex else a for a, b in c.edges if apex in (a, b)} != others:
+        return False
+    base = induced_oracle(c, others)
+    return bool(base.vertices) and is_forest_oracle(base) and len(base.edges) == len(base.vertices) - 1
 
 
 def forest_oracle(vertex_ids, edges):

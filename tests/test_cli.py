@@ -451,6 +451,25 @@ def test_failed_write_exits_2_with_one_line(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
 
 
+def test_failed_final_flush_exits_2_with_one_line(capsys, monkeypatch):
+    """A short output stays buffered through ``main``'s print, so a full
+    disk shows only at ``entry_point``'s flush."""
+    class FullDisk(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(FullDisk())))
+    monkeypatch.setattr(sys, "argv", ["heegaard2", "primitive", "x"])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry_point()
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
+    sys.stdout.flush()  # the interpreter's flush at exit has nothing to fail on
+
+
 def _fresh_env():
     """The environment for a fresh interpreter that imports this heegaard2."""
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heegaard2.__file__)))

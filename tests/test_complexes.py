@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from heegaard2 import complexes, farey
 from heegaard2.complexes import KIND_APEX, KIND_BLACK, KIND_SLOPE, KIND_WHITE, Vertex
-from helpers import cone_check_oracle, forest_oracle, validate_oracle
+from helpers import (
+    cone_check_oracle,
+    cone_check_tuples_oracle,
+    cut_build,
+    forest_oracle,
+    induced_oracle,
+    is_forest_oracle,
+    rehang_build,
+    to_json_oracle,
+    validate_oracle,
+)
 
 
 def kinds(cpx):
@@ -261,8 +271,12 @@ def _simplices(ids, size, max_size):
     return st.lists(simplex.map(lambda s: tuple(sorted(s))), max_size=max_size)
 
 
+_DEFECTS = ("none", "duplicate id", "unknown kind", "reversed edge", "dangling edge",
+            "triangle order", "missing triangle edge")
+
+
 @st.composite
-def complex_parts(draw):
+def complex_parts(draw, defects=_DEFECTS):
     """Vertices with scattered ids, edges and triangles that make a valid
     complex, then at most one defect."""
     ids = draw(st.lists(st.integers(-40, 40), unique=True, max_size=9))
@@ -270,10 +284,7 @@ def complex_parts(draw):
     triangles = set(draw(_simplices(ids, 3, 4)))
     edges = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
     edges |= set(draw(_simplices(ids, 2, 8)))
-    defect = draw(st.sampled_from(
-        ["none", "duplicate id", "unknown kind", "reversed edge", "dangling edge",
-         "triangle order", "missing triangle edge"]
-    ))
+    defect = draw(st.sampled_from(defects))
     if defect == "duplicate id" and len(vertices) >= 2:
         j = draw(st.integers(1, len(vertices) - 1))
         vertices[j] = vertices[j]._replace(id=vertices[0].id)
@@ -294,14 +305,85 @@ def complex_parts(draw):
     return tuple(vertices), frozenset(edges), frozenset(triangles)
 
 
+def _columns(rows, width):
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+
+
 @given(complex_parts())
 @example(((), frozenset(), frozenset()))
 def test_validation_matches_the_per_element_oracle(parts):
+    """Through ``Complex`` and through columns handed over by a builder,
+    whose simplices the oracle reads in column order."""
     vertices, edges, triangles = parts
     parts_ns = SimpleNamespace(vertices=vertices, edges=edges, triangles=triangles)
     assert _raised(lambda: complexes.Complex(vertices, edges, triangles)) == _raised(
         lambda: validate_oracle(parts_ns)
     )
+    columns = _columns(vertices, 3), _columns(edges, 2), _columns(triangles, 3)
+    rows_ns = SimpleNamespace(
+        vertices=vertices, edges=list(zip(*columns[1])), triangles=list(zip(*columns[2]))
+    )
+    assert _raised(lambda: complexes.Complex._of(*columns[0], *columns[1:])) == _raised(
+        lambda: validate_oracle(rows_ns)
+    )
+
+
+def test_damaged_builds_raise_the_per_element_oracle_message():
+    """Cutting vertex 0 off hangs triangles (1, 1, c) on 0/1; a vertex
+    rehung on another edge leaves a triangle edge missing or none."""
+    grow = farey._grow(3)
+    for build in (cut_build(grow, 0), rehang_build(grow, 6, 0, 2), rehang_build(grow, 9, 3, 2)):
+        grown = range(2, len(build.nums))
+        rows = SimpleNamespace(
+            vertices=[Vertex(i, KIND_SLOPE, "") for i in range(len(build.nums))],
+            edges=[(0, 1), *zip(build.pa, grown), *zip(build.pb, grown)],
+            triangles=list(zip(build.pa, build.pb, grown)),
+        )
+        assert _raised(lambda: farey._ball(build)) == _raised(lambda: validate_oracle(rows))
+
+
+def _assert_columns_match_tuples(cpx, keeps):
+    assert complexes.to_json(cpx) == to_json_oracle(cpx)
+    assert complexes.is_forest(cpx) == is_forest_oracle(cpx)
+    assert complexes.cone_check(cpx) == cone_check_tuples_oracle(cpx)
+    for keep in keeps:
+        sub = complexes.induced(cpx, keep)
+        assert sub == induced_oracle(cpx, keep)
+        assert complexes.to_json(sub) == to_json_oracle(sub)
+        assert complexes.is_forest(sub) == is_forest_oracle(sub)
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_column_readers_match_the_tuple_oracles_on_balls(depth):
+    ball = farey.stern_brocot_ball(depth)
+    odd = farey.f_odd_subcomplex(ball)
+    n = len(ball.vertices)
+    keeps = ({v.id for v in odd.vertices}, range(n // 4), range(1, n, 3), ())
+    _assert_columns_match_tuples(ball, keeps)
+    _assert_columns_match_tuples(odd, keeps)
+
+
+@pytest.mark.parametrize(
+    "cpx",
+    [complexes.haken_complex_model(*args) for args in ((1, 3, 3), (4, 3, 5), (6, 2, 4))]
+    + [complexes.sp_tree_model(5, 3)]
+    + [complexes.sp_cone_model(size) for size in (1, 2, 7)],
+    ids=["graft-1-3-3", "graft-4-3-5", "graft-6-2-4", "tree-5-3", "cone-1", "cone-2", "cone-7"],
+)
+def test_column_readers_match_the_tuple_oracles_on_models(cpx):
+    n = len(cpx.vertices)
+    _assert_columns_match_tuples(cpx, (range(1, n), range(n // 2), range(0, n, 2), ()))
+
+
+def test_readers_build_no_views():
+    """The checks and writers read the columns: a derived complex that is
+    only checked or written never builds its record views."""
+    for cpx in (farey.f_odd_subcomplex(farey.stern_brocot_ball(4)),
+                complexes.haken_complex_model(3, 3, 3), complexes.sp_tree_model(3, 3)):
+        complexes.to_json(cpx), complexes.to_dot(cpx), complexes.neighbors(cpx)
+        complexes.is_tree(cpx), complexes.cone_check(cpx), complexes.dimension(cpx)
+        complexes.induced(cpx, range(5))
+        assert not vars(cpx).keys() & {"vertices", "edges", "triangles"}
 
 
 @given(
@@ -346,3 +428,13 @@ def cone_like(draw):
 @example(complexes.sp_tree_model(2, 2))
 def test_cone_check_matches_the_neighbors_oracle(cpx):
     assert complexes.cone_check(cpx) == cone_check_oracle(cpx)
+
+
+@given(st.one_of(complex_parts(("none",)).map(lambda parts: complexes.Complex(*parts)),
+                 cone_like()), st.data())
+@example(complexes.Complex((), frozenset()), None)
+def test_column_readers_match_the_tuple_oracles_on_drawn_complexes(cpx, data):
+    """Scattered ids, isolated vertices, apexes and the empty complex."""
+    ids = [v.id for v in cpx.vertices]
+    keep = data.draw(st.sets(st.sampled_from(ids))) if data and ids else set()
+    _assert_columns_match_tuples(cpx, (keep, ids))

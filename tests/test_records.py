@@ -1,8 +1,11 @@
 """The value records of the library: defaults, equality and hashing by
 fields, read-only fields, the validation messages and the reprs."""
 
+import pickle
+
 import pytest
 
+from heegaard2 import complexes, farey
 from heegaard2.classify import Lens, S2xS1, SplittingDescriptor
 from heegaard2.complexes import KIND_SLOPE, Complex, Vertex
 from heegaard2.fgroup import PrimitivityVerdict
@@ -13,8 +16,8 @@ from heegaard2.surgery import SplittingParams
 def assert_rebuilds_validate(record, field, bad, message):
     """``_replace`` and ``_make`` run the record's validation: a valid
     rebuild is equal to the record, and ``field`` set to ``bad`` raises."""
-    assert record._replace() == record == type(record)._make(record)
-    assert type(record._make(record)) is type(record)
+    assert record._replace() == record == type(record)._make(record._asdict().values())
+    assert type(record._make(record._asdict().values())) is type(record)
     fields = record._asdict() | {field: bad}
     for rebuild in (lambda: record._replace(**{field: bad}),
                     lambda: type(record)._make(fields.values())):
@@ -126,6 +129,37 @@ def test_complex():
         with pytest.raises(ValueError, match=f"^{message}$"):
             Complex(*args)
     assert_rebuilds_validate(Complex(vs, es), "edges", frozenset({(0, 7)}), r"bad edge \(0, 7\)")
+
+
+def _built_complexes():
+    ball = farey.stern_brocot_ball(3)
+    vertices = [Vertex(2, KIND_SLOPE, "1/1"), Vertex(0, KIND_SLOPE, "1/0"), Vertex(5, KIND_SLOPE, "x")]
+    return {
+        "ball": ball,
+        "odd": farey.f_odd_subcomplex(ball),
+        "induced": complexes.induced(ball, range(0, 32, 3)),
+        "make": complexes.make_complex(vertices, [(2, 0)]),
+        "from-json": complexes.from_json(complexes.to_json(ball)),
+        "tree": complexes.sp_tree_model(3, 3),
+        "graft": complexes.haken_complex_model(3, 3, 3),
+        "cone": complexes.sp_cone_model(4),
+        "empty": Complex((), frozenset()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_built_complexes()))
+def test_complex_record_contract(name):
+    """Every builder gives a record equal to, and hashed as, the complex
+    of its three fields, with the named-tuple repr."""
+    cpx = _built_complexes()[name]
+    again = Complex(cpx.vertices, cpx.edges, cpx.triangles)
+    assert cpx == again and hash(cpx) == hash(again)
+    other = Complex((Vertex(99, KIND_SLOPE, "x"),), frozenset())
+    assert_value_semantics(lambda: _built_complexes()[name], other, "vertices")
+    assert repr(cpx) == (f"Complex(vertices={cpx.vertices!r}, edges={cpx.edges!r}, "
+                         f"triangles={cpx.triangles!r})")
+    assert pickle.loads(pickle.dumps(cpx)) == cpx
+    assert_rebuilds_validate(cpx, "edges", cpx.edges | {(-1, 0)}, r"bad edge \(-1, 0\)")
 
 
 def test_rewrite_system():
