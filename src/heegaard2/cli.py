@@ -58,7 +58,7 @@ def _render_complex(cpx, fmt: str, last_line: str) -> str:
         return complexes.to_dot(cpx)
     if fmt == "json":
         return _json(complexes.to_json(cpx))
-    return f"vertices: {len(cpx.vertices)}\nedges: {len(cpx.edges)}\n{last_line}"
+    return f"vertices: {len(cpx._ids)}\nedges: {len(cpx._edge_ends[0])}\n{last_line}"
 
 
 def _cmd_words(args) -> tuple[int, str]:
@@ -143,7 +143,7 @@ def _cmd_farey(args) -> tuple[int, str]:
         return 0 if forest_ok and reach_ok else 2, text
     ball = farey.stern_brocot_ball(args.max_depth)
     cpx = farey.f_odd_subcomplex(ball) if args.odd else ball
-    return 0, _render_complex(cpx, args.format, f"triangles: {len(cpx.triangles)}")
+    return 0, _render_complex(cpx, args.format, f"triangles: {len(cpx._triangle_ends[0])}")
 
 
 def _cmd_sphere_complex(args) -> tuple[int, str]:

@@ -10,11 +10,14 @@ from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 A ball is grown as a parent table (``_grow``): int columns ``nums`` and
 ``dens`` of the slopes in id order, and the ends ``pa[c - 2] < pb[c - 2]``
 of the edge that vertex c >= 2 was grown on, so its edges are (0, 1),
-(pa, c) and (pb, c) and its triangles (pa, pb, c).  The build checks
-that each expanded edge has determinant +-1 and exactly one fresh apex,
-and numbers new vertices in sorted-frontier order.  Only
-``stern_brocot_ball`` makes a ``Complex``; the tree checks and
-``odd_subtree`` read the columns.
+(pa, c) and (pb, c) and its triangles (pa, pb, c).  A round grows one
+vertex on each boundary edge and every vertex stays on the boundary, so
+after a round that grew ids H..L-1 (H = L/2) each v < H has two boundary
+edges, both to ids grown last.  In (v, neighbor) order they put L + k on
+the edge from k // 2 to H + k for k < H, and for k >= H to the ids
+H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of two),
+opposite the neighbor's other parent.  Only ``stern_brocot_ball`` makes
+a ``Complex``; the tree checks and ``odd_subtree`` read the columns.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -125,28 +128,27 @@ _Build = namedtuple("_Build", "nums dens pa pb")
 
 def _grow(depth: int) -> _Build:
     """Grow the ball by ``depth`` rounds of mediant insertion into the
-    parent table of the module docstring; 1/1 and -1/1 hang on the edge
-    1/0 - 0/1.  The frontier lists the boundary edges (a, b, apex); a new
-    vertex c on (a, b) replaces its edge by (a, c, b) and (b, c, a).  A
-    Farey edge has just two common neighbors, a + b and a - b, so a
-    candidate that is not the apex and is adjacent to a and to b is new.
+    parent table of the module docstring (1/1 and -1/1 hang on 1/0 - 0/1),
+    checking that each edge grown on has determinant +-1 and one fresh
+    apex: a Farey edge has just two common neighbors, a + b and a - b, so
+    a candidate that is not the apex and is adjacent to a and to b is new.
 
-    >>> b = _grow(1)
-    >>> b.nums, b.dens
-    ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2])
-    >>> b.pa, b.pb
-    ([0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3])
+    >>> tuple(_grow(1))  # nums, dens, pa, pb
+    ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2], [0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3])
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    nums = [s.n for s in _BASE]
-    dens = [s.d for s in _BASE]
-    pa, pb = [0, 0], [1, 1]
-    frontier = [(0, 2, 1), (1, 2, 0), (0, 3, 1), (1, 3, 0)]
+    nums, dens = [s.n for s in _BASE], [s.d for s in _BASE]
+    ids, pa, pb = list(range(4)), [0, 0], [1, 1]  # one int object per id, shared by pa and pb
     for _ in range(depth):
-        frontier.sort()
-        grown = []
-        for a, b, x in frontier:
+        h = len(ids) // 2
+        by_pb = sorted(range(h - 2, len(pb)), key=pb.__getitem__)  # c - 2 for the ids c grown last
+        ends_a = sorted(ids[:h] * 2)
+        if list(map(pb.__getitem__, by_pb)) != ends_a[h:]:
+            raise AssertionError(f"expected each of ids {h // 2}..{h - 1} to be pb of two ids grown last")
+        ends_b = ids[h:] + [ids[j + 2] for j in by_pb]
+        apexes = pb[h - 2:] + list(map(pa.__getitem__, by_pb))
+        for a, b, x in zip(ends_a, ends_b, apexes):
             an, ad, bn, bd, xn, xd = nums[a], dens[a], nums[b], dens[b], nums[x], dens[x]
             pn, pd, mn, md = _mediants(an, ad, bn, bd)
             p_is_x = pn == xn and pd == xd
@@ -155,13 +157,11 @@ def _grow(depth: int) -> _Build:
             dets = (an * bd - bn * ad) * (an * cd - cn * ad) * (cn * bd - bn * cd)
             if p_is_x == (mn == xn and md == xd) or dets not in (1, -1):
                 raise AssertionError(f"expected one new apex on edge {_label(an, ad)}-{_label(bn, bd)}")
-            c = len(nums)
             nums.append(cn)
             dens.append(cd)
-            pa.append(a)
-            pb.append(b)
-            grown += ((a, c, b), (b, c, a))
-        frontier = grown
+        ids += range(len(ids), len(nums))
+        pa += ends_a
+        pb += ends_b
     return _Build(nums, dens, pa, pb)
 
 

@@ -311,7 +311,7 @@ def rules_oracle(case):
 def stern_brocot_ball_oracle(depth):
     """Farey ball by rescanning: every round sorts all edges and takes
     those with one apex as the boundary.  The library grows the same ball
-    from a frontier and must produce identical ids, edges and triangles."""
+    off its parent table and must produce identical ids, edges and triangles."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     ids = {}
@@ -358,6 +358,40 @@ def stern_brocot_ball_oracle(depth):
         complexes.Vertex(i, complexes.KIND_SLOPE, str(s)) for i, s in enumerate(slopes)
     ]
     return complexes.make_complex(vertices, edges, triangles)
+
+
+def grow_frontier_oracle(depth):
+    """``farey._grow`` as it was before each round read its edges off the
+    parent table, kept verbatim: the frontier lists the boundary edges
+    (a, b, apex) and is sorted every round; a new vertex c on (a, b)
+    replaces its edge by (a, c, b) and (b, c, a).  It reads ``farey``'s
+    base, mediants and label writer at call time, so patches apply."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    nums = [s.n for s in farey._BASE]
+    dens = [s.d for s in farey._BASE]
+    pa, pb = [0, 0], [1, 1]
+    frontier = [(0, 2, 1), (1, 2, 0), (0, 3, 1), (1, 3, 0)]
+    for _ in range(depth):
+        frontier.sort()
+        grown = []
+        for a, b, x in frontier:
+            an, ad, bn, bd, xn, xd = nums[a], dens[a], nums[b], dens[b], nums[x], dens[x]
+            pn, pd, mn, md = farey._mediants(an, ad, bn, bd)
+            p_is_x = pn == xn and pd == xd
+            cn, cd = (mn, md) if p_is_x else (pn, pd)
+            # the determinants of a-b, a-c and c-b are all +-1 iff their product is
+            dets = (an * bd - bn * ad) * (an * cd - cn * ad) * (cn * bd - bn * cd)
+            if p_is_x == (mn == xn and md == xd) or dets not in (1, -1):
+                raise AssertionError(f"expected one new apex on edge {farey._label(an, ad)}-{farey._label(bn, bd)}")
+            c = len(nums)
+            nums.append(cn)
+            dens.append(cd)
+            pa.append(a)
+            pb.append(b)
+            grown += ((a, c, b), (b, c, a))
+        frontier = grown
+    return farey._Build(nums, dens, pa, pb)
 
 
 def odd_subcomplex_oracle(c):

@@ -224,6 +224,28 @@ def test_farey_check_tree_grows_the_ball_once(capsys, monkeypatch):
         assert calls == [depth]
 
 
+_COUNTED_ARGV = [
+    *(["farey", "--max-depth", "3", *odd, "--format", fmt]
+      for odd in ([], ["--odd"]) for fmt in ("text", "json", "dot")),
+    ["sphere-complex", "--blacks", "3", "--whites-per-black", "2", "--farey-depth", "3"],
+    ["sphere-complex", "--cone", "5"],
+]
+
+
+def test_complex_output_builds_no_vertex_or_triangle_view(capsys, monkeypatch):
+    # the counts come off the columns, and json and dot print no triangle count
+    expected = [run(capsys, *argv) for argv in _COUNTED_ARGV]
+
+    def unbuilt(cpx):
+        raise AssertionError("built a view to count it")
+
+    for name in ("vertices", "triangles"):
+        monkeypatch.setattr(complexes.Complex, name, property(unbuilt))
+    for argv, want in zip(_COUNTED_ARGV, expected):
+        assert want[0] == 0, argv
+        assert run(capsys, *argv) == want, argv
+
+
 @pytest.mark.parametrize(
     "damage, line",
     [

@@ -1,7 +1,9 @@
-"""The frontier-grown Farey ball, its odd-parent column, the one-build
-reach check, the odd subtree and the bipartite disk-sphere tree against
-the rescan and deque oracles in ``helpers`` and the labelled odd
-subcomplex."""
+"""The Farey ball grown off its parent table, its odd-parent column, the
+one-build reach check, the odd subtree and the bipartite disk-sphere tree
+against the frontier, rescan and deque oracles in ``helpers`` and the
+labelled odd subcomplex."""
+
+import builtins
 
 import pytest
 
@@ -9,6 +11,7 @@ from heegaard2 import complexes, farey
 
 from helpers import (
     cut_build,
+    grow_frontier_oracle,
     odd_graft_tree_oracle,
     odd_subcomplex_oracle,
     reach_oracle,
@@ -16,6 +19,64 @@ from helpers import (
     sp_tree_model_oracle,
     stern_brocot_ball_oracle,
 )
+
+
+@pytest.mark.parametrize("depth", range(15))
+def test_grow_matches_the_frontier_oracle(depth):
+    assert farey._grow(depth) == grow_frontier_oracle(depth)
+
+
+def test_frontier_oracle_rounds_follow_the_closed_form():
+    # the round that grows ids L..2L-1 (H = L/2) puts L + k on the edge from
+    # k // 2 to H + k for k < H, and for k >= H to the ids H..L-1 ordered
+    # stably by pb, each id in [H/2, H) being the pb of exactly two of them
+    depth = 12
+    build = grow_frontier_oracle(depth)
+    pa, pb = build.pa, build.pb
+    for L in (2 ** (r + 1) for r in range(1, depth + 1)):
+        H = L // 2
+        assert pa[L - 2 : 2 * L - 2] == [k // 2 for k in range(L)], L
+        assert sorted(pb[H - 2 : L - 2]) == [v for v in range(H // 2, H) for _ in "ab"], L
+        assert pb[L - 2 : L + H - 2] == list(range(H, L)), L
+        assert pb[L + H - 2 : 2 * L - 2] == sorted(range(H, L), key=lambda c: pb[c - 2]), L
+
+
+def test_grow_shares_one_int_object_per_id():
+    build = farey._grow(8)
+    ends = build.pa + build.pb
+    assert len({id(i) for i in ends}) == len(set(ends))
+
+
+@pytest.mark.parametrize("denominator", [5, 7, 12])
+def test_grow_names_the_first_bad_edge_in_frontier_order(monkeypatch, denominator):
+    # wherever a + b has this denominator, offer a - b twice: 4, 8 and 4
+    # edges of one round fail, and the library names the one the frontier
+    # met first
+    mediants = farey._mediants
+
+    def damage(an, ad, bn, bd):
+        pn, pd, mn, md = mediants(an, ad, bn, bd)
+        return (mn, md, mn, md) if pd == denominator else (pn, pd, mn, md)
+
+    monkeypatch.setattr(farey, "_mediants", damage)
+    with pytest.raises(AssertionError, match="one new apex on edge") as raised:
+        farey._grow(8)
+    with pytest.raises(AssertionError) as expected:
+        grow_frontier_oracle(8)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_grow_rejects_a_round_whose_pb_column_breaks_the_closed_form(monkeypatch):
+    # reverse the pb order of the ids grown last from the second round on:
+    # the ids 2..3 no longer read as the pb of two of them each, in order
+    def reversed_by_key(items, key=None):
+        ordered = builtins.sorted(items, key=key)
+        return ordered[::-1] if key is not None and len(ordered) > 2 else ordered
+
+    monkeypatch.setattr(farey, "sorted", reversed_by_key, raising=False)
+    assert farey._grow(1) == grow_frontier_oracle(1)
+    with pytest.raises(AssertionError, match=r"expected each of ids 2\.\.3 to be pb of two ids grown last"):
+        farey._grow(2)
 
 
 @pytest.mark.parametrize("depth", range(11))
