@@ -1,11 +1,12 @@
 """Words in the rank-2 free group on generators x and y.
 
 A word is an ASCII string over the alphabet {x, y, X, Y}, where the
-uppercase letters stand for the inverses of the lowercase ones.  The
-empty word prints as "1".  Cyclic words (curve words read off from a
-closed curve, well defined only up to rotation) are represented by a
-canonical form: the lexicographically least rotation of the free and
-cyclic reduction, under the fixed letter order x < X < y < Y.
+uppercase letters stand for the inverses of the lowercase ones; a
+function that reduces or substitutes a word raises ``ValueError`` on any
+other letter.  The empty word prints as "1".  Cyclic words (curve words
+read off from a closed curve, well defined only up to rotation) are
+represented by a canonical form: the lexicographically least rotation of
+the free and cyclic reduction, under the fixed letter order x < X < y < Y.
 Cyclic subwords are read one way only: a cyclic subword of ``w`` is a
 match in the doubled word ``w + w``.
 
@@ -18,8 +19,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 ALPHABET = "xXyY"
-
-_INVERSE = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
+_DELETE_LETTERS = str.maketrans("", "", ALPHABET)  # leaves only the other letters
 
 # Translate letters to naturally ordered characters so that plain string
 # comparison realises the order x < X < y < Y.
@@ -38,14 +38,14 @@ def parse_word(text: str) -> str:
     >>> parse_word("1")
     ''
     """
-    if text == "1":
-        return ""
-    bad = set(text) - set(ALPHABET)
-    if bad:
-        raise ValueError(
-            f"invalid letters {sorted(bad)}; words use x, y, X, Y (X = x inverse)"
-        )
-    return text
+    return "" if text == "1" else _checked(text)
+
+
+def _checked(word: str) -> str:
+    if bad := word.translate(_DELETE_LETTERS):
+        letters = sorted(set(bad))
+        raise ValueError(f"invalid letters {letters}; words use x, y, X, Y (X = x inverse)")
+    return word
 
 
 def format_word(word: str) -> str:
@@ -62,17 +62,22 @@ def invert(word: str) -> str:
     return word[::-1].swapcase()
 
 
+# adjacent inverse letters; deleting them can bring new pairs together (xyYX)
+_CANCEL = re.compile("xX|Xx|yY|Yy")
+
+
 def free_reduce(word: str) -> str:
     """The unique freely reduced word equal to ``word``.
 
-    >>> free_reduce("xyYx")
-    'xx'
-    >>> free_reduce("xX")
+    >>> free_reduce("xxyYXX")
     ''
     """
-    out: list[str] = []
-    for ch in word:
-        if out and out[-1] == _INVERSE[ch]:
+    w = _CANCEL.sub("", _checked(word))
+    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:
+        return w  # four substring tests: faster than a regex search that finds nothing
+    out: list[str] = []  # a stack, so that x^k X^k costs one pass and not k
+    for ch in w:
+        if out and out[-1] == ch.swapcase():
             out.pop()
         else:
             out.append(ch)
@@ -83,7 +88,7 @@ def cyclic_reduce(word: str) -> str:
     """Freely reduce, then strip inverse first/last pairs in one inward walk."""
     w = free_reduce(word)
     i, j = 0, len(w) - 1
-    while i < j and w[i] == _INVERSE[w[j]]:
+    while i < j and w[i] == w[j].swapcase():
         i, j = i + 1, j - 1
     return w[i : j + 1]
 
@@ -224,13 +229,9 @@ WHITEHEAD_AUTOMORPHISMS: tuple[tuple[str, str], ...] = (
 
 def apply_endomorphism(word: str, x_image: str, y_image: str) -> str:
     """Substitute images for the generators (no reduction performed)."""
-    table = {
-        "x": x_image,
-        "X": invert(x_image),
-        "y": y_image,
-        "Y": invert(y_image),
-    }
-    return "".join(table[ch] for ch in word)
+    # keyed by code point, as str.translate reads it: x, X, y, Y are 120, 88, 121, 89
+    table = {120: x_image, 88: invert(x_image), 121: y_image, 89: invert(y_image)}
+    return _checked(word).translate(table)
 
 
 def is_primitive(word: str) -> bool:

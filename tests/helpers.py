@@ -34,18 +34,44 @@ def cyclically_reduced_words(max_len):
         yield from build([], n)
 
 
+def free_reduce_oracle(word):
+    """``free_reduce`` by deleting the leftmost inverse pair, one pair at a
+    time, until none is left."""
+    w = word
+    while True:
+        for i in range(len(w) - 1):
+            if w[i] == _INV[w[i + 1]]:
+                w = w[:i] + w[i + 2 :]
+                break
+        else:
+            return w
+
+
+def apply_endomorphism_oracle(word, x_image, y_image):
+    """``apply_endomorphism`` as first written, verbatim: a per-letter
+    generator of images, joined."""
+    table = {
+        "x": x_image,
+        "X": fgroup.invert(x_image),
+        "y": y_image,
+        "Y": fgroup.invert(y_image),
+    }
+    return "".join(table[ch] for ch in word)
+
+
 def cyclic_reduce_oracle(word):
     """``cyclic_reduce`` by re-slicing: strip one inverse first/last pair
     at a time, copying the rest of the word each time."""
-    w = fgroup.free_reduce(word)
+    w = free_reduce_oracle(word)
     while len(w) >= 2 and w[0] == _INV[w[-1]]:
         w = w[1:-1]
     return w
 
 
 def least_rotation_oracle(word):
-    """Least rotation by brute-force enumeration of all rotations."""
-    w = fgroup.cyclic_reduce(word)
+    """Least rotation of ``cyclic_reduce_oracle(word)``, by brute-force
+    enumeration of all rotations."""
+    w = cyclic_reduce_oracle(word)
     if not w:
         return ""
     rotations = [w[i:] + w[:i] for i in range(len(w))]
@@ -641,7 +667,9 @@ def forest_oracle(vertex_ids, edges):
 def primitive_words_orbit_oracle(max_len: int) -> set[str]:
     """All primitive cyclic words of length at most ``max_len``, as
     canonical forms, enumerated by closing the automorphism orbit of the
-    generator x under Whitehead moves and letter symmetries."""
+    generator x under Whitehead moves and letter symmetries.  The images
+    are substituted, reduced and rotated by the oracles in this file, not
+    by ``fgroup``."""
     if max_len < 1:
         return set()
     seen = {"x"}
@@ -650,10 +678,10 @@ def primitive_words_orbit_oracle(max_len: int) -> set[str]:
         fresh = []
         for w in frontier:
             images = [
-                fgroup.cyclic_canonical(fgroup.apply_endomorphism(w, xi, yi))
+                least_rotation_oracle(apply_endomorphism_oracle(w, xi, yi))
                 for xi, yi in fgroup.WHITEHEAD_AUTOMORPHISMS
             ]
-            images.extend(fgroup.cyclic_canonical(s) for s in fgroup.letter_symmetries(w))
+            images.extend(least_rotation_oracle(s) for s in fgroup.letter_symmetries(w))
             for img in images:
                 if 1 <= len(img) <= max_len and img not in seen:
                     seen.add(img)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from heegaard2 import fgroup
 from helpers import (
+    apply_endomorphism_oracle,
     block_form_oracle,
     cyclic_reduce_oracle,
     cyclically_reduced_words,
+    free_reduce_oracle,
     least_rotation_oracle,
     letter_obstruction_reason_oracle,
     power_root_oracle,
@@ -42,6 +45,97 @@ def test_free_reduce_idempotent_and_shortening():
         r = fgroup.free_reduce(w)
         assert fgroup.free_reduce(r) == r
         assert len(r) <= len(w)
+
+
+def _all_words(max_len):
+    return ["".join(p) for n in range(max_len + 1) for p in itertools.product("xXyY", repeat=n)]
+
+
+def test_free_reduce_matches_oracle_on_all_words_up_to_8():
+    words = _all_words(8)
+    assert len(words) == 87381
+    for w in words:
+        assert fgroup.free_reduce(w) == free_reduce_oracle(w), w
+
+
+# words in which deleting every adjacent inverse pair at once leaves a new one
+NESTED = ["x" * k + "X" * k for k in range(2, 13)] + ["xyYX", "yxXY", "xxyYXX"]
+
+
+@pytest.mark.parametrize("word", NESTED)
+def test_free_reduce_finishes_nested_cancellations(word):
+    assert re.search("xX|Xx|yY|Yy", re.sub("xX|Xx|yY|Yy", "", word))
+    assert fgroup.free_reduce(word) == free_reduce_oracle(word) == ""
+    assert fgroup.free_reduce("y" + word + "x") == "yx"
+    assert fgroup.free_reduce(word + "Y" + word) == "Y"
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.pattern, name)
+
+
+def test_free_reduce_takes_a_bounded_number_of_passes(monkeypatch):
+    # x^k X^k needs k rounds of pair deletion; a stack finishes it in one pass
+    counting = _CountingPattern(fgroup._CANCEL)
+    monkeypatch.setattr(fgroup, "_CANCEL", counting)
+    assert fgroup.free_reduce("x" * 1000 + "X" * 1000) == ""
+    assert counting.calls <= 2
+
+
+@given(st.text(alphabet="xXyY", max_size=80))
+@example("x" * 40 + "X" * 40)
+@example("xyXY" * 10 + "yxYX" * 10)
+def test_free_reduce_matches_oracle_and_is_idempotent(w):
+    r = fgroup.free_reduce(w)
+    assert r == free_reduce_oracle(w)
+    assert fgroup.free_reduce(r) == r
+
+
+def test_apply_endomorphism_matches_oracle():
+    for w in _all_words(6):
+        for xi, yi in fgroup.WHITEHEAD_AUTOMORPHISMS + (("", "xyX"), ("YXyy", "x")):
+            assert fgroup.apply_endomorphism(w, xi, yi) == apply_endomorphism_oracle(w, xi, yi)
+
+
+# every public function that reduces or substitutes a word, on one argument
+WORD_READERS = [
+    fgroup.free_reduce,
+    fgroup.cyclic_reduce,
+    fgroup.cyclic_canonical,
+    lambda w: fgroup.cyclic_equal(w, "x"),
+    lambda w: fgroup.cyclic_equal("x", w, up_to_inversion=True),
+    fgroup.letter_obstruction_reason,
+    fgroup.has_letter_obstruction,
+    fgroup.has_subword_obstruction,
+    fgroup.has_primitive_block_form,
+    lambda w: fgroup.apply_endomorphism(w, "xy", "y"),
+    fgroup.is_primitive,
+    fgroup.primitive_power_root,
+]
+
+
+@pytest.mark.parametrize("word", ["z", "zx", "xz", "x1", "1"])
+def test_other_letters_raise_value_error(word):
+    bad = sorted(set(word) - set("xXyY"))
+    message = re.escape(f"invalid letters {bad}; words use x, y, X, Y (X = x inverse)")
+    for reader in WORD_READERS:
+        with pytest.raises(ValueError, match=message):
+            reader(word)
+    # only parse_word reads "1" as the empty word
+    if word == "1":
+        assert fgroup.parse_word(word) == ""
+    else:
+        with pytest.raises(ValueError, match=message):
+            fgroup.parse_word(word)
+    # the letter-by-letter maps reduce nothing and pass other letters through
+    assert fgroup.format_word(word) == word
+    assert fgroup.invert(word) == word[::-1].swapcase()
+    assert all(bad[0] in image for image in fgroup.letter_symmetries(word))
 
 
 letter_words = st.text(alphabet="xXyY", max_size=40)
@@ -304,7 +398,7 @@ def test_doubled_word_searches_match_scanning_oracles_on_all_words_up_to_8():
     # every oracle begins by cyclically reducing its word, so one oracle
     # call serves all the words with the same reduction
     scanning = functools.cache(_scanning_answers)
-    words = ["".join(p) for n in range(9) for p in itertools.product("xXyY", repeat=n)]
+    words = _all_words(8)
     assert len(words) == 87381
     for w in words:
         assert _doubled_word_answers(w) == scanning(fgroup.cyclic_reduce(w)), w
