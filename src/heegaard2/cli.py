@@ -62,16 +62,16 @@ def _render_complex(cpx, fmt: str, last_line: str) -> str:
 
 
 def _cmd_words(args) -> tuple[int, str]:
-    from . import fgroup, surgery
+    from . import surgery
     params = surgery.SplittingParams(args.p1, args.q1, args.p2, args.q2)
     if args.index is not None:
         items = [(args.index, surgery.surgery_word(params, args.index))]
     else:
         items = list(enumerate(surgery.surgery_sequence(params), start=1))
     if args.format == "json":
-        records = [{"i": i, "word": fgroup.format_word(w)} for i, w in items]
+        records = [{"i": i, "word": w} for i, w in items]
         return 0, _json(records[0] if args.index is not None else records)
-    return 0, "\n".join(fgroup.format_word(w) for _, w in items)
+    return 0, "\n".join(w for _, w in items)
 
 
 def _cmd_primitive(args) -> tuple[int, str]:

@@ -197,8 +197,12 @@ def to_json(c: Complex) -> dict:
 
 
 def from_json(data: dict) -> Complex:
-    vertices = (Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"])
-    return make_complex(vertices, data["edges"], data.get("triangles", []))
+    try:  # a missing key, a wrong type or a simplex of the wrong size is a ValueError
+        return make_complex((Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"]),
+                            [(a, b) for a, b in data["edges"]],
+                            [(a, b, c) for a, b, c in data.get("triangles", [])])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"malformed complex record: {err!r}") from None
 
 
 _DOT_ATTRS = {
@@ -207,11 +211,12 @@ _DOT_ATTRS = {
     KIND_APEX: "shape=doublecircle",
     KIND_SLOPE: "shape=box",
 }
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside a quoted DOT label
 
 
 def to_dot(c: Complex, name: str = "complex") -> str:
     lines = [f"graph {name} {{"]
-    lines += (f'  v{i} [label="{label}", {_DOT_ATTRS[kind]}];'
+    lines += (f'  v{i} [label="{str(label).translate(_DOT_ESCAPES)}", {_DOT_ATTRS[kind]}];'
               for i, kind, label in zip(c._ids, c._kinds, c._labels))
     lines += (f"  v{a} -- v{b};" for a, b in sorted(zip(*c._edge_ends)))
     return "\n".join(lines + ["}"])

@@ -1,17 +1,17 @@
 """Boundary words of the disk-surgery sequence, via a rotation-gap model.
 
-For summand parameters (p1, q1) and (p2, q2) the i-th word in the
-sequence is x^p2 y^g1 x^p2 y^g2 ... x^p2 y^gi, where (g1, ..., gi) are
-the circular gaps cut on Z/p1 by the first i multiples of q1.  Only p2
-enters the x-blocks; q2 is carried for classification interoperability.
-
-The sequence starts at x^p2 y^p1 and ends at (x^p2 y)^p1, which is a
-power of the primitive element x^p2 y.
+For summand parameters (p1, q1) and (p2, q2) the i-th word is
+x^p2 y^g1 ... x^p2 y^gi, where (g1, ..., gi) are the circular gaps cut on
+Z/p1 by the first i multiples of q1; q2 is carried for classification
+interoperability.  The words run from x^p2 y^p1 to (x^p2 y)^p1, a power of
+the primitive x^p2 y.  A word is positive, so its least rotation under
+x < y starts an x-block, and two block starts compare as their gap
+sequences do (a smaller gap brings the next x sooner).
 """
 
+from array import array
 from collections import namedtuple
 
-from . import fgroup
 from .classify import Lens
 
 
@@ -48,11 +48,11 @@ def gap_pattern(params: SplittingParams, i: int) -> tuple[int, ...]:
 
 
 def surgery_word(params: SplittingParams, i: int) -> str:
-    """The canonical cyclic word x^p2 y^g1 ... x^p2 y^gi for the gap
-    pattern at index i.  For i = 1 this is x^p2 y^p1."""
+    """The canonical cyclic word x^p2 y^g1 ... x^p2 y^gi: the least rotation
+    of the gaps, expanded once.  For i = 1 this is x^p2 y^p1."""
+    doubled = array("q", gap_pattern(params, i) * 2)
     x_block = "x" * params.p2
-    raw = "".join(x_block + "y" * g for g in gap_pattern(params, i))
-    return fgroup.cyclic_canonical(raw)
+    return "".join(x_block + "y" * g for g in min(doubled[k : k + i] for k in range(i)))
 
 
 def surgery_sequence(params: SplittingParams) -> list[str]:

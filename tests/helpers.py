@@ -7,7 +7,7 @@ from collections import deque
 from functools import partial
 from operator import itemgetter
 
-from heegaard2 import complexes, farey, fgroup
+from heegaard2 import complexes, farey, fgroup, surgery
 from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Complex, Vertex
 from heegaard2.goeritz import Presentation
 
@@ -76,6 +76,14 @@ def least_rotation_oracle(word):
         return ""
     rotations = [w[i:] + w[:i] for i in range(len(w))]
     return min(rotations, key=lambda r: r.translate(_ORDER))
+
+
+def surgery_word_oracle(params, i):
+    """``surgery_word`` as first written, verbatim: the word expanded from
+    the gaps in index order, then canonicalized by ``fgroup``."""
+    x_block = "x" * params.p2
+    raw = "".join(x_block + "y" * g for g in surgery.gap_pattern(params, i))
+    return fgroup.cyclic_canonical(raw)
 
 
 # The hand-written cyclic-word scanners that ``fgroup`` replaced by

@@ -12,6 +12,7 @@ from helpers import (
     cyclically_reduced_words,
     goeritz_insertion_words,
     goeritz_random_word,
+    surgery_word_oracle,
     tuple_rotation_equal,
 )
 
@@ -82,9 +83,9 @@ def test_criterion_2_closed_form_battery():
             params = surgery.SplittingParams(p1, q1, p2, q2)
             indices = {1, 2, p1 - 1, p1} | ({3} if p1 >= 3 else set())
             for i in sorted(indices):
-                assert fgroup.cyclic_equal(
-                    surgery.surgery_word(params, i), _formula_word(p1, q1, p2, i)
-                ), (p1, q1, p2, q2, i)
+                word = surgery.surgery_word(params, i)
+                assert fgroup.cyclic_equal(word, _formula_word(p1, q1, p2, i)), (p1, q1, p2, q2, i)
+                assert word == surgery_word_oracle(params, i), (p1, q1, p2, q2, i)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f} s"
     print(

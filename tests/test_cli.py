@@ -648,7 +648,7 @@ def _fresh_imports(*args):
     "argv, needed",
     [
         (["primitive", "xy"], {"fgroup"}),
-        (["words", "--p1", "5", "--q1", "2", "--p2", "3"], {"classify", "fgroup", "surgery"}),
+        (["words", "--p1", "5", "--q1", "2", "--p2", "3"], {"classify", "surgery"}),
         (["classify", "--m1", "lens:5,2", "--m2", "s2xs1"], {"classify"}),
         (["goeritz", "--case", "1a", "--abelianization"], {"goeritz"}),
         (["farey", "--max-depth", "3", "--odd"], {"complexes", "farey"}),

@@ -240,6 +240,45 @@ def test_json_round_trip():
         assert isinstance(data["edges"], list)
 
 
+_TWO_SLOPES = [
+    {"id": 0, "kind": KIND_SLOPE, "label": "0/1"},
+    {"id": 1, "kind": KIND_SLOPE, "label": "1/0"},
+]
+
+
+@pytest.mark.parametrize(
+    "data, cause",
+    [
+        ({"vertices": []}, "KeyError('edges')"),
+        ({"vertices": [{"id": 0, "label": "0/1"}], "edges": []}, "KeyError('kind')"),
+        ({"vertices": _TWO_SLOPES, "edges": [[0, "1"]]}, "TypeError"),
+        ({"vertices": _TWO_SLOPES, "edges": [[0]]}, "expected 2, got 1"),
+        ({"vertices": _TWO_SLOPES, "edges": [[0, 1, 1]]}, "expected 2"),
+        ({"vertices": _TWO_SLOPES, "edges": [[0, 1]], "triangles": [[0, 1]]}, "expected 3, got 2"),
+        ({"vertices": _TWO_SLOPES, "edges": [[0, 2]]}, "bad edge"),
+    ],
+)
+def test_from_json_rejects_malformed_records(data, cause):
+    with pytest.raises(ValueError, match="^malformed complex record: ") as info:
+        complexes.from_json(data)
+    assert cause in str(info.value)
+
+
+def test_from_json_triangles_are_optional():
+    cpx = complexes.from_json({"vertices": _TWO_SLOPES, "edges": [[1, 0]]})
+    assert cpx.edges == {(0, 1)} and cpx.triangles == frozenset()
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    cpx = complexes.make_complex(
+        [Vertex(0, KIND_SLOPE, 'a"b'), Vertex(1, KIND_WHITE, "back\\slash")], [(0, 1)]
+    )
+    assert complexes.to_dot(cpx).splitlines()[1:3] == [
+        '  v0 [label="a\\"b", shape=box];',
+        '  v1 [label="back\\\\slash", shape=circle];',
+    ]
+
+
 def test_dot_output():
     dot = complexes.to_dot(complexes.sp_cone_model(2))
     assert dot.startswith("graph")

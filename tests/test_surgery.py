@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heegaard2 import fgroup, surgery
-from helpers import tuple_rotation_equal
+from helpers import least_rotation_oracle, surgery_word_oracle, tuple_rotation_equal
 
 
 def coprime_pairs(limit):
@@ -174,3 +179,40 @@ def test_gap_pattern_against_marking_oracle():
             gaps.append(run + first_prefix)
             assert tuple(gaps) == surgery.gap_pattern(params, i)
             assert tuple_rotation_equal(tuple(gaps), surgery.gap_pattern(params, i))
+
+
+# (p1, q1, p2) with p1 <= 80, q1 coprime to p1 and p2 in 2..6
+splitting_params = st.integers(2, 80).flatmap(
+    lambda p1: st.builds(
+        surgery.SplittingParams,
+        st.just(p1),
+        st.integers(1, p1 - 1).filter(lambda q1: gcd(p1, q1) == 1),
+        st.integers(2, 6),
+    )
+)
+
+
+@given(splitting_params)
+def test_surgery_word_is_least_rotation_of_expanded_gaps(params):
+    for i in range(1, params.p1 + 1):
+        word = surgery.surgery_word(params, i)
+        assert word == surgery_word_oracle(params, i)
+        raw = "".join("x" * params.p2 + "y" * g for g in surgery.gap_pattern(params, i))
+        assert word == least_rotation_oracle(raw)
+
+
+def test_surgery_word_with_two_million_letters():
+    # the least rotation is searched over the i gaps, not over the letters
+    params = surgery.SplittingParams(2_000_003, 1, 2)
+    assert surgery.surgery_word(params, 1) == "xx" + "y" * 2_000_003
+    assert surgery.surgery_word(params, 2) == "xxyxx" + "y" * 2_000_002
+
+
+def test_surgery_does_not_load_fgroup():
+    code = "import sys, heegaard2.surgery; assert 'heegaard2.fgroup' not in sys.modules"
+    src = os.path.dirname(os.path.dirname(surgery.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
