@@ -8,11 +8,14 @@ of its edges and triangles.  Its fields ``vertices``, ``edges`` and
 ``triangles`` are built on first read; the checks and writers read the
 columns, so a complex only checked or written never builds them.
 Complexes are immutable after construction and every operation is pure.
+Edges run a < b, so the largest vertex of a cycle is the ``b`` end of two
+of its edges: distinct ``b`` ends, which every builder here leaves, certify
+a forest.  Union-find decides the rest, such as the tree (0, 2), (1, 2).
 """
 
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import attrgetter, lt
+from operator import attrgetter, eq, lt
 from typing import Iterable, NamedTuple
 
 KIND_BLACK = "black"  # disk vertices of the subdivided tree
@@ -43,10 +46,13 @@ class Complex:
     """Vertices (id, kind, label) with distinct ids and known kinds, edges (a, b)
     with a < b between them and triangles (a, b, c) whose edges are edges, each
     simplex once.  A value record: equal and hashed by its three fields, which
-    are read-only; ``_replace`` and ``_make`` validate."""
+    are read-only; a simplex row of the wrong size is the first defect named."""
 
     def __init__(self, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
                  triangles: frozenset[tuple[int, int, int]] = frozenset()):
+        for rows, size, name in ((edges, 2, "edge"), (triangles, 3, "triangle")):
+            if {*map(len, rows)} - {size}:  # named before zip cuts every row to the shortest
+                raise ValueError(f"bad {name} ({', '.join(map(str, next(r for r in rows if len(r) != size)))})")
         vars(self).update(vertices=vertices, edges=edges, triangles=triangles)
         ids, kinds, labels = zip(*vertices) if vertices else ((), (), ())
         self._fill(ids, kinds, labels, tuple(zip(*edges)) or ((), ()),
@@ -99,21 +105,12 @@ class Complex:
     def __repr__(self) -> str:
         return "Complex(vertices={!r}, edges={!r}, triangles={!r})".format(*_fields_of(self))
 
-    def _asdict(self) -> dict:
-        return dict(zip(("vertices", "edges", "triangles"), _fields_of(self)))
-
-    def _replace(self, **fields) -> "Complex":
-        return Complex(**(self._asdict() | fields))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # validates, as _replace does
-
 
 def make_complex(vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]] = (),
                  triangles: Iterable[tuple[int, int, int]] = ()) -> Complex:
     """Normalize (sort ids inside simplices) and validate."""
     vs = tuple(sorted(vertices, key=lambda v: v.id))
-    es = frozenset(tuple(sorted(e)) for e in edges)
-    ts = frozenset(tuple(sorted(t)) for t in triangles)
+    es, ts = (frozenset(tuple(sorted(s)) for s in rows) for rows in (edges, triangles))
     return Complex(vs, es, ts)
 
 
@@ -122,9 +119,7 @@ def neighbors(c: Complex) -> dict[int, list[int]]:
     for a, b in zip(*c._edge_ends):
         adj[a].append(b)
         adj[b].append(a)
-    for lst in adj.values():
-        lst.sort()
-    return adj
+    return {v: sorted(ws) for v, ws in adj.items()}
 
 
 def component(c: Complex, start: int) -> list[int]:
@@ -147,10 +142,12 @@ def bfs_order(adj, start: int) -> list[int]:
     return order
 
 
-def is_forest(c: Complex) -> bool:
-    """True when the 1-skeleton has no cycle."""
-    parent = dict(zip(c._ids, c._ids))
-    for a, b in zip(*c._edge_ends):
+def _forest(ids, ea, eb) -> bool:
+    """No cycle among the edges (ea[k], eb[k]), ea[k] < eb[k], on the vertices ``ids``."""
+    if len(set(eb)) == len(eb):  # a cycle's largest vertex is the b end of two of its edges
+        return True
+    parent = dict(zip(ids, ids))
+    for a, b in zip(ea, eb):
         # union-find with path halving: replace a and b by their roots
         while (up := parent[a]) != a:
             parent[a] = a = parent[up]
@@ -160,6 +157,12 @@ def is_forest(c: Complex) -> bool:
             return False
         parent[b] = a  # builders list an edge (a, b) mostly as b joins: b stays near the root
     return True
+
+
+def is_forest(c: Complex) -> bool:
+    """True when the 1-skeleton has no cycle: distinct ``b`` ends certify it; union-find
+    decides graphs without them, such as the tree (0, 2), (1, 2) and repeated rows."""
+    return _forest(c._ids, *c._edge_ends)
 
 
 def is_tree(c: Complex) -> bool:
@@ -283,16 +286,14 @@ def haken_complex_model(black_count: int, whites_per_black: int, farey_depth: in
     adjacent whites.  Shared whites glue neighboring copies; the result
     is a tree.
     """
-    model, _ = _haken_build(black_count, whites_per_black, farey_depth)
-    return model
+    return _haken_build(black_count, whites_per_black, farey_depth)[0]
 
 
 def haken_graft_map(black_count: int, whites_per_black: int,
                     farey_depth: int) -> dict[str, list[int]]:
     """For each black label of the underlying bipartite tree, the vertex
     ids of its grafted copy in BFS slot order (whites first)."""
-    _, graft = _haken_build(black_count, whites_per_black, farey_depth)
-    return graft
+    return _haken_build(black_count, whites_per_black, farey_depth)[1]
 
 
 def sp_cone_model(base_size: int) -> Complex:
@@ -313,11 +314,10 @@ def sp_cone_model(base_size: int) -> Complex:
 def cone_check(c: Complex) -> bool:
     """Contractibility witness for cone models: a unique apex adjacent to
     every other vertex, whose deletion leaves a tree."""
-    apexes = [i for i, kind in zip(c._ids, c._kinds) if kind == KIND_APEX]
-    if len(apexes) != 1:
+    if c._kinds.count(KIND_APEX) != 1:
         return False
-    apex = apexes[0]
-    others = {i for i in c._ids if i != apex}
-    if {b if a == apex else a for a, b in zip(*c._edge_ends) if apex in (a, b)} != others:
-        return False
-    return is_tree(induced(c, others))
+    apex, (ea, eb) = c._ids[c._kinds.index(KIND_APEX)], c._edge_ends
+    others = set(c._ids) - {apex}
+    far = {*compress(eb, map(eq, ea, repeat(apex))), *compress(ea, map(eq, eb, repeat(apex)))}
+    rim_a, rim_b = _cut((ea, eb), (a != apex != b for a, b in zip(ea, eb)))  # edges that miss the apex
+    return far == others and len(rim_a) == len(others) - 1 and _forest(others, rim_a, rim_b)

@@ -558,25 +558,30 @@ def sp_tree_model_oracle(black_count: int, whites_per_black: int) -> Complex:
 
 
 def cone_check_oracle(c):
-    """``cone_check`` as first written: the apex's neighbors read off the
-    full ``neighbors`` table of the complex."""
+    """Contractibility witness for cone models, by counting: the apex's
+    neighbors read off the edge set, and the edges that miss the apex a
+    tree by ``forest_oracle``.  It calls nothing in ``complexes``."""
     apexes = [v.id for v in c.vertices if v.kind == complexes.KIND_APEX]
     if len(apexes) != 1:
         return False
     apex = apexes[0]
     others = {v.id for v in c.vertices if v.id != apex}
-    adj = complexes.neighbors(c)
-    if set(adj[apex]) != others:
+    if {a if b == apex else b for a, b in c.edges if apex in (a, b)} != others:
         return False
-    return complexes.is_tree(complexes.induced(c, others))
+    return forest_oracle(others, [e for e in c.edges if apex not in e])[1]
 
 
 def validate_oracle(self):
-    """The per-element ``Complex.__post_init__`` validation, verbatim: each
-    check in turn over every vertex, edge and triangle, raising
-    ``ValueError`` at the first offender.  ``self`` is anything with
+    """The per-element ``Complex.__post_init__`` validation, verbatim after a
+    first pass that names a simplex row of the wrong size: each check in
+    turn over every vertex, edge and triangle, raising ``ValueError`` at
+    the first offender.  ``self`` is anything with
     ``vertices``, ``edges`` and ``triangles``; the library's whole-set
     checks must raise the same message, or none when this raises none."""
+    for rows, size, name in ((self.edges, 2, "edge"), (self.triangles, 3, "triangle")):
+        for row in rows:
+            if len(row) != size:
+                raise ValueError(f"bad {name} ({', '.join(map(str, row))})")
     ids, kinds, _ = zip(*self.vertices) if self.vertices else ((), (), ())
     idset = set(ids)
     if len(ids) != len(idset):

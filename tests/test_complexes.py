@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -311,7 +312,7 @@ def _simplices(ids, size, max_size):
 
 
 _DEFECTS = ("none", "duplicate id", "unknown kind", "reversed edge", "dangling edge",
-            "triangle order", "missing triangle edge")
+            "triangle order", "missing triangle edge", "edge size", "triangle size")
 
 
 @st.composite
@@ -341,6 +342,12 @@ def complex_parts(draw, defects=_DEFECTS):
     elif defect == "missing triangle edge" and triangles:
         a, b, c = draw(st.sampled_from(sorted(triangles)))
         edges.discard(draw(st.sampled_from([(a, b), (a, c), (b, c)])))
+    elif defect == "edge size" and edges:
+        a, b = draw(st.sampled_from(sorted(edges)))
+        edges.add(draw(st.sampled_from([(a,), (a, b, 41)])))
+    elif defect == "triangle size" and triangles:
+        a, b, c = draw(st.sampled_from(sorted(triangles)))
+        triangles.add(draw(st.sampled_from([(a, b), (a, b, c, 41)])))
     return tuple(vertices), frozenset(edges), frozenset(triangles)
 
 
@@ -352,12 +359,15 @@ def _columns(rows, width):
 @example(((), frozenset(), frozenset()))
 def test_validation_matches_the_per_element_oracle(parts):
     """Through ``Complex`` and through columns handed over by a builder,
-    whose simplices the oracle reads in column order."""
+    whose simplices the oracle reads in column order (columns hold no row
+    of the wrong size)."""
     vertices, edges, triangles = parts
     parts_ns = SimpleNamespace(vertices=vertices, edges=edges, triangles=triangles)
     assert _raised(lambda: complexes.Complex(vertices, edges, triangles)) == _raised(
         lambda: validate_oracle(parts_ns)
     )
+    if {*map(len, edges)} - {2} or {*map(len, triangles)} - {3}:
+        return
     columns = _columns(vertices, 3), _columns(edges, 2), _columns(triangles, 3)
     rows_ns = SimpleNamespace(
         vertices=vertices, edges=list(zip(*columns[1])), triangles=list(zip(*columns[2]))
@@ -433,8 +443,13 @@ def test_readers_build_no_views():
 @example(([], []))
 @example(([-5, 3, 9], [(-5, 3), (3, 9), (-5, 9)]))
 @example(([-5, 3, 9, 20], [(-5, 9), (3, 20)]))
+@example(([0, 1, 2], [(0, 2), (1, 2)]))  # a tree without distinct larger ends
+@example(([0, 1, 2], [(0, 1), (0, 2), (1, 2)]))
+@example(([-7, 4, 11, 30], [(-7, 4), (4, 11), (11, 30)]))  # a path with distinct larger ends
+@example(([-7, 4, 11, 30], [(-7, 30), (4, 30), (4, 11)]))  # a path without them
 def test_forest_and_tree_match_the_counting_oracle(graph):
-    """Scattered ids, cycles, several components and the empty graph."""
+    """Scattered ids, cycles, several components and the empty graph, with
+    and without the certificate of distinct larger ends."""
     ids, edges = graph
     cpx = complexes.Complex(
         tuple(Vertex(i, KIND_BLACK, str(i)) for i in ids), frozenset(edges)
@@ -442,6 +457,63 @@ def test_forest_and_tree_match_the_counting_oracle(graph):
     assert (complexes.is_forest(cpx), complexes.is_tree(cpx)) == forest_oracle(
         ids, cpx.edges
     )
+
+
+def test_a_repeated_edge_row_is_no_forest():
+    """Columns handed to ``Complex._of`` may repeat a row: a 2-cycle, which
+    fails the certificate and is caught by union-find."""
+    cpx = complexes.Complex._of([0, 1, 2], [KIND_BLACK] * 3, ["a", "b", "c"], ([0, 1, 0], [1, 2, 1]))
+    assert not complexes.is_forest(cpx) and not complexes.is_tree(cpx)
+    assert forest_oracle(cpx._ids, list(zip(*cpx._edge_ends))) == (False, False)
+
+
+def _feasible_grafts():
+    """The parameter grid of acceptance criterion 6, infeasible points left out."""
+    for depth, blacks, whites in itertools.product(range(7), range(1, 7), range(1, 9)):
+        try:
+            yield complexes.haken_complex_model(blacks, whites, depth)
+        except ValueError:
+            pass
+
+
+def test_every_builder_leaves_distinct_larger_ends():
+    """The tree checks take the certificate, not union-find, on every library
+    build: odd subcomplexes, bipartite trees, grafts and cone rims."""
+    builds = [farey.f_odd_subcomplex(farey.stern_brocot_ball(depth)) for depth in range(11)]
+    builds += [complexes.sp_tree_model(blacks, whites) for blacks in (1, 2, 9, 40) for whites in (2, 3, 5)]
+    builds += _feasible_grafts()
+    assert len(builds) > 200
+    ends = [cpx._edge_ends[1] for cpx in builds]
+    for size in range(1, 51):
+        cone = complexes.sp_cone_model(size)
+        apex = cone._ids[cone._kinds.index(KIND_APEX)]
+        ends.append([b for a, b in zip(*cone._edge_ends) if apex not in (a, b)])
+        assert len(ends[-1]) == size - 1
+    for eb in ends:
+        assert len(set(eb)) == len(eb)
+
+
+def test_simplex_rows_of_the_wrong_size_are_named():
+    """A row of the wrong size is the first defect named, by ``Complex``,
+    ``make_complex`` and the oracle alike; ``from_json`` rejects it too."""
+    three = tuple(Vertex(i, KIND_BLACK, "abc"[i]) for i in range(3))
+    cases = [
+        ((three, [(0, 1, 2), (1, 2)]), "bad edge (0, 1, 2)"),
+        ((three + three[:1], [(1, 2), (0,)]), "bad edge (0)"),
+        ((three, [(0, 1), (0, 2), (1, 2)], [(0, 1)]), "bad triangle (0, 1)"),
+        ((three, [(0, 1), (1, 2), (0, 2)], [(0, 1, 2), (2, 1, 0, 2)]), "bad triangle (2, 1, 0, 2)"),
+    ]
+    for args, message in cases:
+        rows = SimpleNamespace(vertices=args[0], edges=frozenset(args[1]),
+                               triangles=frozenset(args[2] if len(args) > 2 else ()))
+        assert _raised(lambda: complexes.Complex(rows.vertices, rows.edges, rows.triangles)) == message
+        assert _raised(lambda: validate_oracle(rows)) == message
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert _raised(lambda: complexes.make_complex(three, [(2, 1, 0), (1, 2)])) == "bad edge (0, 1, 2)"
+    assert _raised(lambda: complexes.make_complex(three, triangle, [(1, 0)])) == "bad triangle (0, 1)"
+    for key, rows in (("edges", [[0, 1, 2], [1, 2]]), ("triangles", [[0, 1]])):
+        data = complexes.to_json(complexes.make_complex(three, triangle)) | {key: rows}
+        assert _raised(lambda: complexes.from_json(data)).startswith("malformed complex record")
 
 
 @st.composite

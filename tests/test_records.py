@@ -128,7 +128,6 @@ def test_complex():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Complex(*args)
-    assert_rebuilds_validate(Complex(vs, es), "edges", frozenset({(0, 7)}), r"bad edge \(0, 7\)")
 
 
 def _built_complexes():
@@ -159,7 +158,6 @@ def test_complex_record_contract(name):
     assert repr(cpx) == (f"Complex(vertices={cpx.vertices!r}, edges={cpx.edges!r}, "
                          f"triangles={cpx.triangles!r})")
     assert pickle.loads(pickle.dumps(cpx)) == cpx
-    assert_rebuilds_validate(cpx, "edges", cpx.edges | {(-1, 0)}, r"bad edge \(-1, 0\)")
 
 
 def test_rewrite_system():
