@@ -138,7 +138,7 @@ def _cmd_farey(args) -> tuple[int, str]:
     if args.check_tree and args.format != "text":
         raise ValueError(f"--check-tree prints text only, not --format {args.format}")
     if args.check_tree:
-        _, forest_ok, reach_ok = farey._odd_parents(farey._grow(args.max_depth))
+        forest_ok, reach_ok = farey.odd_tree_check(args.max_depth)
         text = f"forest: {_bool(forest_ok)}\nconnected to 1/0 within depth+2: {_bool(reach_ok)}"
         return 0 if forest_ok and reach_ok else 2, text
     ball = farey.stern_brocot_ball(args.max_depth)

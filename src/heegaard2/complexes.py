@@ -44,12 +44,13 @@ _fields_of = attrgetter("vertices", "edges", "triangles")
 
 class Complex:
     """Vertices (id, kind, label) with distinct ids and known kinds, edges (a, b)
-    with a < b between them and triangles (a, b, c) whose edges are edges, each
-    simplex once.  A value record: equal and hashed by its three fields, which
-    are read-only; a simplex row of the wrong size is the first defect named."""
+    with a < b between them and triangles (a, b, c) whose edges are edges.  A value
+    record: equal and hashed by its read-only fields, a tuple and two frozensets of
+    the rows given; a simplex row of the wrong size is the first defect named."""
 
-    def __init__(self, vertices: tuple[Vertex, ...], edges: frozenset[tuple[int, int]],
-                 triangles: frozenset[tuple[int, int, int]] = frozenset()):
+    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]],
+                 triangles: Iterable[tuple[int, int, int]] = ()):
+        vertices, edges, triangles = tuple(vertices), frozenset(edges), frozenset(triangles)
         for rows, size, name in ((edges, 2, "edge"), (triangles, 3, "triangle")):
             if {*map(len, rows)} - {size}:  # named before zip cuts every row to the shortest
                 raise ValueError(f"bad {name} ({', '.join(map(str, next(r for r in rows if len(r) != size)))})")
@@ -217,8 +218,8 @@ _DOT_ATTRS = {
 _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})  # inside a quoted DOT label
 
 
-def to_dot(c: Complex, name: str = "complex") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(c: Complex) -> str:
+    lines = ["graph complex {"]
     lines += (f'  v{i} [label="{str(label).translate(_DOT_ESCAPES)}", {_DOT_ATTRS[kind]}];'
               for i, kind, label in zip(c._ids, c._kinds, c._labels))
     lines += (f"  v{a} -- v{b};" for a, b in sorted(zip(*c._edge_ends)))

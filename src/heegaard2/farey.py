@@ -16,14 +16,14 @@ after a round that grew ids H..L-1 (H = L/2) each v < H has two boundary
 edges, both to ids grown last.  In (v, neighbor) order they put L + k on
 the edge from k // 2 to H + k for k < H, and for k >= H to the ids
 H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of two),
-opposite the neighbor's other parent.  Only ``stern_brocot_ball`` makes
-a ``Complex``; the tree checks and ``odd_subtree`` read the columns.
+opposite the neighbor's other parent.  No other module reads a build,
+and only ``stern_brocot_ball`` makes a ``Complex`` of one.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
 Farey-adjacent slopes are never both even, so every odd vertex but 1/0
-has exactly one odd parent, with a smaller id (``_odd_parents``), and
-``odd_subtree`` lists that tree breadth-first, as the graft copies it.
+has exactly one odd parent, with a smaller id: ``odd_tree_check`` tests that
+column, and ``odd_subtree`` lists its tree breadth-first for the graft.
 """
 
 import re
@@ -209,14 +209,8 @@ def f_odd_subcomplex(c: Complex) -> Complex:
 
 def _odd_parents(build: _Build) -> tuple[list[int], bool, bool]:
     """One pass over a build: the odd-parent column (each odd vertex's odd
-    parent, ``pa`` if both are odd; -1 elsewhere and at 1/0), ``forest``
-    (no odd vertex has two odd parents) and ``reach`` (every odd vertex but
-    1/0 has one).  The odd edges are the edges to odd parents (0/1 is
-    even), which have smaller ids.  So ``forest`` makes the odd subgraph a
-    forest, and exactly so when vertices grow on edges (two odd parents
-    span an odd triangle); ``reach`` leads every odd vertex down the column
-    to 1/0, and under ``forest`` exactly so (a vertex without an odd
-    parent is the least id of its component).
+    parent, ``pa`` if both are odd; -1 elsewhere and at 1/0) and the
+    ``forest`` and ``reach`` verdicts of ``odd_tree_check``.
 
     >>> _odd_parents(_grow(1))
     ([-1, -1, 0, 0, -1, -1, 2, 3], True, True)
@@ -235,14 +229,21 @@ def _odd_parents(build: _Build) -> tuple[list[int], bool, bool]:
     return column, forest, reach
 
 
-def odd_vertices_reach_infinity(depth: int, margin: int = 2) -> bool:
-    """Every odd vertex of the depth-``depth`` ball is connected to 1/0 in
-    the odd subcomplex of the depth-``depth + margin`` ball: the ``reach``
-    verdict of ``_odd_parents``.  The ball is the id prefix of every deeper
-    ball, so ``margin`` is validated but no longer changes the answer."""
-    if depth < 0 or margin < 0:
-        raise ValueError(f"depth {depth} and margin {margin} must be >= 0")
-    return _odd_parents(_grow(depth))[2]
+def odd_tree_check(depth: int) -> tuple[bool, bool]:
+    """``(forest, reach)`` of the depth-``depth`` ball: no odd vertex has two
+    odd parents, and every odd vertex but 1/0 has one.  The odd edges are the
+    edges to odd parents (0/1 is even), which have smaller ids.  So ``forest``
+    makes the odd subcomplex a forest, and exactly so when vertices grow on
+    edges (two odd parents span an odd triangle); ``reach`` leads every odd
+    vertex down the column to 1/0, and under ``forest`` exactly so (a vertex
+    without an odd parent is the least id of its component)."""
+    return _odd_parents(_grow(depth))[1:]
+
+
+def odd_vertices_reach_infinity(depth: int) -> bool:
+    """The ``reach`` verdict of ``odd_tree_check``: every odd vertex of the
+    ball is joined to 1/0 in its odd subcomplex, so in every deeper ball's."""
+    return odd_tree_check(depth)[1]
 
 
 def odd_subtree(depth: int) -> tuple[list[str], list[tuple[int, int]]]:

@@ -78,6 +78,48 @@ def least_rotation_oracle(word):
     return min(rotations, key=lambda r: r.translate(_ORDER))
 
 
+# The eight Whitehead moves of the rank-2 free group that can change cyclic
+# length, written out here and not read from ``fgroup``: fix one generator
+# and multiply the other by it on either side with either sign, as
+# (image of x, image of y).
+WHITEHEAD_MOVES = (
+    ("xy", "y"), ("xY", "y"), ("yx", "y"), ("Yx", "y"),
+    ("x", "yx"), ("x", "yX"), ("x", "xy"), ("x", "Xy"),
+)
+
+# The eight letter symmetries, as images of x X y Y: the four sign changes
+# of the two generators, without and with swapping x and y.
+_LETTER_SYMMETRIES = tuple(
+    str.maketrans("xXyY", image)
+    for image in ("xXyY", "xXYy", "XxyY", "XxYy", "yYxX", "yYXx", "YyxX", "YyXx")
+)
+
+
+def letter_symmetries_oracle(word):
+    """The images of ``word`` under the eight letter symmetries."""
+    return [word.translate(table) for table in _LETTER_SYMMETRIES]
+
+
+def is_primitive_oracle(word):
+    """Greedy Whitehead reduction on cyclic reductions: apply the first move
+    that shortens the cyclic length until none does; primitive exactly when
+    that ends at length 1.  Only lengths are compared, and cyclic length does
+    not change under conjugation, so the greedy choices are those of the same
+    loop run on least rotations."""
+    w = cyclic_reduce_oracle(word)
+    if not w:
+        return False
+    while len(w) > 1:
+        for x_image, y_image in WHITEHEAD_MOVES:
+            image = cyclic_reduce_oracle(apply_endomorphism_oracle(w, x_image, y_image))
+            if len(image) < len(w):
+                w = image
+                break
+        else:
+            return False
+    return True
+
+
 def surgery_word_oracle(params, i):
     """``surgery_word`` as first written, verbatim: the word expanded from
     the gaps in index order, then canonicalized by ``fgroup``."""
@@ -168,8 +210,9 @@ def block_form_oracle(word):
 
 
 def power_root_oracle(word):
-    """``primitive_power_root`` with the root found by the divisor loop."""
-    c = fgroup.cyclic_canonical(word)
+    """``primitive_power_root`` with the root found by the divisor loop, on
+    the least rotation and the primitivity of the oracles in this file."""
+    c = least_rotation_oracle(word)
     n = len(c)
     if n == 0:
         return fgroup.PrimitivityVerdict("trivial")
@@ -178,7 +221,7 @@ def power_root_oracle(word):
         if n % d == 0 and c[:d] * (n // d) == c:
             root, exponent = c[:d], n // d
             break
-    if not fgroup.is_primitive(root):
+    if not is_primitive_oracle(root):
         return fgroup.PrimitivityVerdict("neither")
     if exponent == 1:
         return fgroup.PrimitivityVerdict("primitive")
@@ -680,9 +723,9 @@ def forest_oracle(vertex_ids, edges):
 def primitive_words_orbit_oracle(max_len: int) -> set[str]:
     """All primitive cyclic words of length at most ``max_len``, as
     canonical forms, enumerated by closing the automorphism orbit of the
-    generator x under Whitehead moves and letter symmetries.  The images
-    are substituted, reduced and rotated by the oracles in this file, not
-    by ``fgroup``."""
+    generator x under Whitehead moves and letter symmetries.  The moves,
+    the symmetries and the substitution, reduction and rotation of the
+    images are the ones in this file, not ``fgroup``'s."""
     if max_len < 1:
         return set()
     seen = {"x"}
@@ -692,9 +735,9 @@ def primitive_words_orbit_oracle(max_len: int) -> set[str]:
         for w in frontier:
             images = [
                 least_rotation_oracle(apply_endomorphism_oracle(w, xi, yi))
-                for xi, yi in fgroup.WHITEHEAD_AUTOMORPHISMS
+                for xi, yi in WHITEHEAD_MOVES
             ]
-            images.extend(least_rotation_oracle(s) for s in fgroup.letter_symmetries(w))
+            images.extend(least_rotation_oracle(s) for s in letter_symmetries_oracle(w))
             for img in images:
                 if 1 <= len(img) <= max_len and img not in seen:
                     seen.add(img)

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -222,6 +224,24 @@ def test_farey_check_tree_grows_the_ball_once(capsys, monkeypatch):
         assert code == 0, depth
         assert out == "forest: true\nconnected to 1/0 within depth+2: true\n", depth
         assert calls == [depth]
+
+
+_LIBRARY_MODULES = {"farey", "complexes", "fgroup", "goeritz", "classify", "surgery"}
+
+
+def test_cli_reads_no_private_name_of_a_library_module():
+    # the CLI asks each library module through its public functions only
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in _LIBRARY_MODULES and node.attr.startswith("_")
+    ]
+    assert private == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if node.level == 1}
+    assert imported == _LIBRARY_MODULES
 
 
 _COUNTED_ARGV = [

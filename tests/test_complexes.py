@@ -50,6 +50,22 @@ def test_complex_validation():
         )
 
 
+def test_complex_freezes_the_rows_it_is_given():
+    # rows given as a list, with a repeated edge, or from a generator are kept
+    # as the tuple and frozensets that compare, hash and count as fields
+    vs = (Vertex(0, KIND_SLOPE, "1/0"), Vertex(1, KIND_SLOPE, "0/1"))
+    frozen = complexes.Complex(vs, frozenset({(0, 1)}))
+    for cpx in (complexes.Complex(vs, [(0, 1), (0, 1)]),
+                complexes.Complex(list(vs), [(0, 1)]),
+                complexes.Complex(iter(vs), ((0, 1) for _ in range(3)), iter(()))):
+        assert cpx == frozen and hash(cpx) == hash(frozen)
+        assert type(cpx.vertices) is tuple and type(cpx.edges) is frozenset
+        assert complexes.to_json(cpx)["edges"] == [[0, 1]]
+        assert complexes.is_tree(cpx)
+    with pytest.raises(TypeError, match="unhashable"):
+        complexes.Complex(vs, [[0, 1]])
+
+
 def test_make_complex_normalizes():
     cpx = complexes.make_complex(
         [Vertex(1, KIND_BLACK, "b"), Vertex(0, KIND_WHITE, "w")], [(1, 0)]
@@ -282,7 +298,7 @@ def test_dot_escapes_quotes_and_backslashes_in_labels():
 
 def test_dot_output():
     dot = complexes.to_dot(complexes.sp_cone_model(2))
-    assert dot.startswith("graph")
+    assert dot.startswith("graph complex {\n")
     assert "doublecircle" in dot
     assert "v0 -- v1;" in dot
     assert complexes.to_dot(complexes.sp_cone_model(2)) == dot

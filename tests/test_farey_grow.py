@@ -90,11 +90,19 @@ def test_ball_matches_rescan_oracle(depth):
 
 
 def test_reach_matches_two_ball_oracle():
+    # the oracle looks for 1/0 in balls up to 3 rounds deeper: the answer
+    # does not depend on how much deeper
     for depth in range(9):
+        reach = farey.odd_vertices_reach_infinity(depth)
+        assert reach == farey.odd_tree_check(depth)[1], depth
         for margin in range(4):
-            assert farey.odd_vertices_reach_infinity(depth, margin) == reach_oracle(
-                depth, margin
-            ), (depth, margin)
+            assert reach == reach_oracle(depth, margin), (depth, margin)
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_odd_tree_check_forest_matches_the_odd_subcomplex(depth):
+    odd = farey.f_odd_subcomplex(farey.stern_brocot_ball(depth))
+    assert farey.odd_tree_check(depth)[0] == complexes.is_forest(odd)
 
 
 def test_ball_is_the_id_prefix_of_a_deeper_ball():
@@ -178,15 +186,11 @@ def test_reach_sees_every_odd_vertex_of_the_small_ball(monkeypatch):
     assert farey.odd_vertices_reach_infinity(1)
 
 
-@pytest.mark.parametrize("depth", [0, 3])
-def test_reach_rejects_negative_margin(depth):
-    with pytest.raises(ValueError, match="margin"):
-        farey.odd_vertices_reach_infinity(depth, margin=-1)
-
-
 def test_reach_rejects_negative_depth():
     with pytest.raises(ValueError, match="depth"):
-        farey.odd_vertices_reach_infinity(-1, margin=2)
+        farey.odd_vertices_reach_infinity(-1)
+    with pytest.raises(ValueError, match="depth"):
+        farey.odd_tree_check(-1)
 
 
 @pytest.mark.parametrize(
@@ -238,19 +242,19 @@ def _recording_grow(monkeypatch, damage=lambda build: build):
     return calls
 
 
-@pytest.mark.parametrize("depth, margin", [(0, 2), (3, 1), (5, 0)])
-def test_reach_builds_one_ball_when_it_passes(monkeypatch, depth, margin):
+@pytest.mark.parametrize("depth", [0, 3, 5])
+def test_reach_builds_one_ball_when_it_passes(monkeypatch, depth):
     calls = _recording_grow(monkeypatch)
-    assert farey.odd_vertices_reach_infinity(depth, margin)
+    assert farey.odd_vertices_reach_infinity(depth)
     assert calls == [depth]
 
 
-@pytest.mark.parametrize("depth, margin", [(2, 2), (4, 1)])
-def test_reach_grows_one_ball_when_it_fails(monkeypatch, depth, margin):
+@pytest.mark.parametrize("depth", [2, 4])
+def test_reach_grows_one_ball_when_it_fails(monkeypatch, depth):
     # cut the build's edges at 1/0: the verdict is false, and no deeper
     # ball is grown to look for another way round
     calls = _recording_grow(monkeypatch, lambda build: cut_build(build, 0))
-    assert not farey.odd_vertices_reach_infinity(depth, margin)
+    assert not farey.odd_vertices_reach_infinity(depth)
     assert calls == [depth]
 
 

@@ -15,6 +15,7 @@ from helpers import (
     cyclic_reduce_oracle,
     cyclically_reduced_words,
     free_reduce_oracle,
+    is_primitive_oracle,
     least_rotation_oracle,
     letter_obstruction_reason_oracle,
     power_root_oracle,
@@ -271,14 +272,19 @@ def test_is_primitive_examples():
 
 def test_is_primitive_matches_orbit_enumeration():
     # bidirectional check of the greedy Whitehead decider against the
-    # enumeration of primitive words from Christoffel words
-    orbit = fgroup.primitive_words_up_to(8)
+    # closure of the orbit of x under the oracles' moves and symmetries
+    orbit = primitive_words_orbit_oracle(8)
     found = set()
     for w in cyclically_reduced_words(8):
         c = fgroup.cyclic_canonical(w)
         if fgroup.is_primitive(c):
             found.add(c)
     assert found == orbit
+
+
+def test_is_primitive_matches_the_greedy_oracle_on_all_words_up_to_7():
+    for w in cyclically_reduced_words(7):
+        assert fgroup.is_primitive(w) == is_primitive_oracle(w), w
 
 
 def test_is_primitive_symmetry_invariance():
