@@ -17,9 +17,7 @@ stdout, once, after the command has returned: stdout stays empty on exit
 check that answered false still exits 2.
 """
 
-import argparse
 import os
-import re
 import sys
 from itertools import groupby
 
@@ -27,19 +25,10 @@ from itertools import groupby
 # for those, and calls them as module attributes, so patches of them apply.
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; reserve 2 for
-    # invariant violations and use 1 here instead
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
-
-
 def _int(text: str) -> int:
     """Integer flags, in ASCII digits only, as ``lens:p,q`` (``int`` reads ``+5``, ``1_0``)."""
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -168,60 +157,118 @@ def _cmd_sphere_complex(args) -> tuple[int, str]:
     return 0 if ok else 2, _render_complex(cpx, args.format, f"{verdict}: {_bool(ok)}")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="heegaard2", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# Each subcommand: its handler, its help line and its flags in order, each flag ->
+# (type, default).  The type is _int, str, a tuple of choices or bool for a
+# switch, and the default ... makes the flag required; ``word`` is a positional.
+_TEXT, _GRAPH = (("text", "json"), "text"), (("text", "json", "dot"), "text")
+_COMMANDS = {
+    "words": (_cmd_words, "surgery word sequence for summand parameters", {
+        "--p1": (_int, ...), "--q1": (_int, ...), "--p2": (_int, ...), "--q2": (_int, 1),
+        "--index": (_int, None), "--format": _TEXT}),
+    "primitive": (_cmd_primitive, "classify a word over x, y, X, Y", {"word": (str, ...)}),
+    "classify": (_cmd_classify, "count genus-two surfaces of a connected sum (lens:p,q or s2xs1)", {
+        "--m1": (str, ...), "--m2": (str, ...), "--format": _TEXT}),
+    "goeritz": (_cmd_goeritz, 'Goeritz presentations and word problems (tokens as "d b d")', {
+        "--case": (str, ...), "--normal-form": (str, None), "--abelianization": (bool, False),
+        "--format": _TEXT}),
+    "farey": (_cmd_farey, "mediant balls and the odd subtree", {
+        "--max-depth": (_int, ...), "--odd": (bool, False), "--check-tree": (bool, False),
+        "--format": _GRAPH}),
+    "sphere-complex": (_cmd_sphere_complex, "grafted sphere-complex and cone models", {
+        "--blacks": (_int, None), "--whites-per-black": (_int, None),
+        "--farey-depth": (_int, None), "--cone": (_int, None), "--format": _GRAPH}),
+}
+_TOP = {"command": (tuple(_COMMANDS), ...)}  # the top level's one positional
+_EXCLUSIVE = {"--normal-form": "--abelianization", "--abelianization": "--normal-form"}
+_Args = type(sys.implementation)  # types.SimpleNamespace, without loading ``types``
 
-    p = sub.add_parser("words", help="surgery word sequence for summand parameters")
-    p.add_argument("--p1", type=_int, required=True)
-    p.add_argument("--q1", type=_int, required=True)
-    p.add_argument("--p2", type=_int, required=True)
-    p.add_argument("--q2", type=_int, default=1)
-    p.add_argument("--index", type=_int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_words)
 
-    p = sub.add_parser("primitive", help="classify a word over x, y, X, Y")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_primitive)
+def _usage(command: str = "", full: bool = False) -> str:
+    """The usage line of ``command`` or of the top level, made from the table;
+    ``full`` adds the help lines that ``-h`` prints."""
+    items = [f"usage: heegaard2 {command}".rstrip(), "[-h]"]
+    for flag, (kind, default) in (_COMMANDS[command][2] if command else _TOP).items():
+        value = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else flag.lstrip("-").upper()
+        item = flag if kind is bool else f"{flag} {value}" if flag[0] == "-" else value
+        items.append(item if default is ... else f"[{item}]")
+    if not full:
+        return " ".join(items)
+    helps = [_COMMANDS[command][1]] if command else [f"  {name:16}{e[1]}" for name, e in _COMMANDS.items()]
+    return "\n".join([" ".join(items), "", *helps])
 
-    p = sub.add_parser("classify", help="count genus-two surfaces of a connected sum")
-    p.add_argument("--m1", required=True, help="lens:p,q or s2xs1")
-    p.add_argument("--m2", required=True, help="lens:p,q or s2xs1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("goeritz", help="Goeritz presentations and word problems")
-    p.add_argument("--case", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--normal-form", dest="normal_form", default=None,
-                      help='token word, e.g. "d b d"')
-    mode.add_argument("--abelianization", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_goeritz)
+def _option(token: str, flags) -> tuple | None:
+    """How argparse read ``token`` among ``-h``, ``--help`` and ``flags``: None
+    for a value (a dash with a number or a space is one), else ``(option, its
+    =value or None)``, the option None if unknown.  A long option may be cut to
+    a prefix that fits it alone, and ``-hX`` is ``-h`` given ``X``."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, dot, tail = token[1:].removesuffix("\n").partition(".")
+    if (head.isdecimal() or dot and not head) and (not dot or tail.isdecimal()):
+        return None  # argparse's negative number, -\d+$ or -\d*\.\d+$
+    if token[1] == "h":
+        return "-h", token[2:].removeprefix("=") if token[2:] else None
+    name, eq, text = token.partition("=") if token[1] == "-" else (token, "", "")
+    names = ["-h", "--help", *(flag for flag in flags if flag[0] == "-")]
+    found = [name] if name in names else [n for n in names if n.startswith(name) and token != "--"]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}")
+    return (found[0], text if eq else None) if found else None if " " in token else (None, None)
 
-    p = sub.add_parser("farey", help="mediant balls and the odd subtree")
-    p.add_argument("--max-depth", dest="max_depth", type=_int, required=True)
-    p.add_argument("--odd", action="store_true")
-    p.add_argument("--check-tree", dest="check_tree", action="store_true")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.set_defaults(func=_cmd_farey)
 
-    p = sub.add_parser("sphere-complex", help="grafted sphere-complex and cone models")
-    p.add_argument("--blacks", type=_int, default=None)
-    p.add_argument("--whites-per-black", dest="whites_per_black", type=_int, default=None)
-    p.add_argument("--farey-depth", dest="farey_depth", type=_int, default=None)
-    p.add_argument("--cone", type=_int, default=None)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.set_defaults(func=_cmd_sphere_complex)
-
-    return parser
+def _parse(argv: list) -> _Args:
+    """``argv`` read as argparse read it, with its messages in its order: an
+    ambiguous prefix, then values and conflicts token by token, then missing
+    flags, then leftovers.  ``-h`` returns the help as the command; a usage
+    error prints a usage line to stderr and raises ``ValueError``."""
+    command, flags, values, given, leftover, usage, at = "", _TOP, {}, set(), [], _usage(), 0
+    try:
+        options = [_option(token, flags) for token in argv]
+        while at < len(argv):
+            token, option = argv[at], options[at]
+            at += 1
+            # a value is the positional's while that is still to come, else left over
+            flag, text = option or (next((f for f in flags if f[0] != "-" and f not in given), None), token)
+            if flag is None:
+                leftover.append(token)
+                continue
+            kind = flags[flag][0] if flag in flags else bool  # -h and --help are switches
+            try:
+                if kind is bool and text is not None:
+                    raise ValueError(f"ignored explicit argument {text!r}")
+                if flag not in flags:
+                    return _Args(func=lambda args: (0, _usage(command, full=True)))
+                if text is None and kind is not bool:
+                    if at == len(argv) or options[at] is not None:
+                        raise ValueError("expected one argument")
+                    text, at = argv[at], at + 1
+                if isinstance(kind, tuple) and text not in kind:
+                    raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+                values[flag] = True if kind is bool else text if isinstance(kind, tuple) else kind(text)
+                if (other := _EXCLUSIVE.get(flag)) in given:
+                    raise ValueError(f"not allowed with argument {other}")
+            except ValueError as exc:
+                raise ValueError(f"argument {flag if flag in flags else '-h/--help'}: {exc}") from None
+            given.add(flag)
+            if flag == "command":  # the rest of argv is the command's
+                command, flags, usage, given = text, _COMMANDS[text][2], _usage(text), set()
+                values = {flag: default for flag, (_, default) in flags.items()}
+                options[at:] = [_option(token, flags) for token in argv[at:]]
+        if missing := [flag for flag, (_, default) in flags.items() if default is ... and flag not in given]:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        if leftover:
+            usage = _usage()
+            raise ValueError(f"unrecognized arguments: {' '.join(leftover)}")
+    except ValueError:
+        print(usage, file=sys.stderr)
+        raise
+    return _Args(func=_COMMANDS[command][0], **{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         code, text = args.func(args)
         try:
             print(text)
@@ -229,8 +276,6 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             pass  # the reader has left: no failure, and the command's code stands
         return code
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,9 +31,6 @@ from collections import namedtuple
 from math import gcd
 from typing import NamedTuple
 
-from . import complexes
-from .complexes import KIND_SLOPE, Complex
-
 _label = "{}/{}".format
 
 
@@ -165,9 +162,10 @@ def _grow(depth: int) -> _Build:
     return _Build(nums, dens, pa, pb)
 
 
-def _ball(build: _Build) -> Complex:
+def _ball(build: _Build) -> "Complex":
     """The complex of a build, with labels, on columns that share one int
     object per id."""
+    from .complexes import KIND_SLOPE, Complex  # deferred: --check-tree makes no Complex
     ids = list(range(len(build.nums)))
     pa, pb = (list(map(ids.__getitem__, p)) for p in (build.pa, build.pb))
     grown = ids[2:]
@@ -176,7 +174,7 @@ def _ball(build: _Build) -> Complex:
     return Complex._of(ids, [KIND_SLOPE] * len(ids), labels, edge_ends, (pa, pb, grown))
 
 
-def stern_brocot_ball(depth: int) -> Complex:
+def stern_brocot_ball(depth: int) -> "Complex":
     """Finite Farey ball: starting from the two base triangles on
     {1/0, 0/1, 1/1} and {1/0, 0/1, -1/1}, perform ``depth`` rounds of
     mediant insertion, one new triangle per boundary edge per round.
@@ -191,13 +189,14 @@ def stern_brocot_ball(depth: int) -> Complex:
     return _ball(_grow(depth))
 
 
-def f_odd_subcomplex(c: Complex) -> Complex:
+def f_odd_subcomplex(c: "Complex") -> "Complex":
     """Full subcomplex on the odd-numerator vertices.  Every vertex must
     have kind slope and a label n/d of ASCII decimal integers; parity is
     the last digit before the ``/``."""
-    ids, kinds, labels = c._ids, c._kinds, c._labels
-    if set(kinds) - {KIND_SLOPE}:
-        j = next(j for j, kind in enumerate(kinds) if kind != KIND_SLOPE)
+    from . import complexes
+    ids, kinds, labels, slope = c._ids, c._kinds, c._labels, complexes.KIND_SLOPE
+    if set(kinds) - {slope}:
+        j = next(j for j, kind in enumerate(kinds) if kind != slope)
         raise ValueError(f"vertex {ids[j]} ({labels[j]!r}) has kind {kinds[j]!r}, not a slope")
     digits = [m and m[1] for m in map(_SLOPE.fullmatch, labels)]  # None for a bad label
     if None in digits:
@@ -250,6 +249,7 @@ def odd_subtree(depth: int) -> tuple[list[str], list[tuple[int, int]]]:
     """The odd tree of the depth-``depth`` ball as slope labels in BFS
     order from 1/0 (children by increasing id) and local edges (i, j),
     i < j, between BFS positions, read off the odd-parent column."""
+    from . import complexes
     build = _grow(depth)
     children = [[] for _ in build.nums]
     for c, p in enumerate(_odd_parents(build)[0]):

@@ -1,13 +1,15 @@
 """Shared test utilities: exhaustive word enumeration and independent
 oracles kept deliberately separate from the library implementations."""
 
+import argparse
 import math
 import re
+import sys
 from collections import deque
 from functools import partial
 from operator import itemgetter
 
-from heegaard2 import complexes, farey, fgroup, surgery
+from heegaard2 import cli, complexes, farey, fgroup, surgery
 from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Complex, Vertex
 from heegaard2.goeritz import Presentation
 
@@ -744,3 +746,76 @@ def primitive_words_orbit_oracle(max_len: int) -> set[str]:
                     fresh.append(img)
         frontier = fresh
     return seen
+
+
+# The argparse front end that ``cli._parse`` replaced, kept verbatim (with the
+# handlers read from ``cli``) as the oracle of the CLI's flags and messages.
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on usage errors; reserve 2 for
+    # invariant violations and use 1 here instead
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(1)
+
+
+def _int(text: str) -> int:
+    """Integer flags, in ASCII digits only, as ``lens:p,q`` (``int`` reads ``+5``, ``1_0``)."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def argparse_oracle() -> _Parser:
+    """The CLI's parser as argparse built it; ``parse_args`` returns the
+    namespace with the handler in ``func``, or raises ``SystemExit`` (0 after
+    printing help, 1 after a usage error)."""
+    parser = _Parser(prog="heegaard2", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p = sub.add_parser("words", help="surgery word sequence for summand parameters")
+    p.add_argument("--p1", type=_int, required=True)
+    p.add_argument("--q1", type=_int, required=True)
+    p.add_argument("--p2", type=_int, required=True)
+    p.add_argument("--q2", type=_int, default=1)
+    p.add_argument("--index", type=_int, default=None)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli._cmd_words)
+
+    p = sub.add_parser("primitive", help="classify a word over x, y, X, Y")
+    p.add_argument("word")
+    p.set_defaults(func=cli._cmd_primitive)
+
+    p = sub.add_parser("classify", help="count genus-two surfaces of a connected sum")
+    p.add_argument("--m1", required=True, help="lens:p,q or s2xs1")
+    p.add_argument("--m2", required=True, help="lens:p,q or s2xs1")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli._cmd_classify)
+
+    p = sub.add_parser("goeritz", help="Goeritz presentations and word problems")
+    p.add_argument("--case", required=True)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--normal-form", dest="normal_form", default=None,
+                      help='token word, e.g. "d b d"')
+    mode.add_argument("--abelianization", action="store_true")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cli._cmd_goeritz)
+
+    p = sub.add_parser("farey", help="mediant balls and the odd subtree")
+    p.add_argument("--max-depth", dest="max_depth", type=_int, required=True)
+    p.add_argument("--odd", action="store_true")
+    p.add_argument("--check-tree", dest="check_tree", action="store_true")
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.set_defaults(func=cli._cmd_farey)
+
+    p = sub.add_parser("sphere-complex", help="grafted sphere-complex and cone models")
+    p.add_argument("--blacks", type=_int, default=None)
+    p.add_argument("--whites-per-black", dest="whites_per_black", type=_int, default=None)
+    p.add_argument("--farey-depth", dest="farey_depth", type=_int, default=None)
+    p.add_argument("--cone", type=_int, default=None)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.set_defaults(func=cli._cmd_sphere_complex)
+
+    return parser

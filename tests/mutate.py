@@ -97,6 +97,22 @@ MUTANTS = (
            "        vertices, edges, triangles = tuple(vertices), frozenset(edges), frozenset(triangles)\n",
            "",
            ("tests/test_complexes.py::test_complex_freezes_the_rows_it_is_given",)),
+    Mutant("cone-check-apex-misses-a-vertex", "complexes.py",
+           "    return far == others and len(rim_a) == len(others) - 1",
+           "    return len(rim_a) == len(others) - 1",
+           ("tests/test_complexes.py::test_cone_check_rejects_a_bare_or_partial_apex",)),
+    Mutant("cli-parse-skips-required-flags", "cli.py",
+           """raise ValueError(f"the following arguments are required: {', '.join(missing)}")""",
+           "pass",
+           ("tests/test_cli.py::test_usage_errors_keep_argparse_messages_and_order",)),
+    Mutant("cli-parse-allows-both-modes", "cli.py",
+           "(other := _EXCLUSIVE.get(flag)) in given",
+           "(other := _EXCLUSIVE.get(flag)) in ()",
+           ("tests/test_cli.py::test_one_mode_per_invocation",)),
+    Mutant("cli-parse-ambiguous-prefix", "cli.py",
+           "    if len(found) > 1:\n",
+           "    if len(found) > 2:\n",
+           ("tests/test_cli.py::test_usage_errors_keep_argparse_messages_and_order",)),
     Mutant("cli-check-tree-swaps-verdicts", "farey.py",
            "    return _odd_parents(_grow(depth))[1:]\n",
            "    return _odd_parents(_grow(depth))[:0:-1]\n",

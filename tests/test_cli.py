@@ -4,17 +4,19 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heegaard2
 from heegaard2 import cli, complexes, farey, goeritz
 
-from helpers import cut_build, rehang_build
+from helpers import argparse_oracle, cut_build, rehang_build
 
 
 def run(capsys, *argv):
@@ -436,6 +438,122 @@ def test_cli_fuzz_exits_0_or_1_with_one_error_line(data):
     assert closed_err.getvalue() == err.getvalue(), argv
 
 
+def _outcome(argv, oracle=False):
+    """``cli.main(argv)`` as (exit code, stdout, stderr), with the flags read
+    by ``cli._parse`` or, for ``oracle``, by the argparse parser it replaced."""
+    out, err = io.StringIO(), io.StringIO()
+    parse = (lambda args: argparse_oracle().parse_args(args)) if oracle else cli._parse
+    with mock.patch.object(cli, "_parse", parse), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse after its help or a usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_same_as_the_oracle(argv):
+    code, out, err = _outcome(argv)
+    want_code, want_out, want_err = _outcome(argv, oracle=True)
+    if want_code == 0 and want_out.startswith("usage: heegaard2"):
+        # the help: the text is made from the table, not argparse's
+        assert (code, out[:16]) == (0, "usage: heegaard2"), (argv, out, err)
+    else:
+        assert (code, out) == (want_code, want_out), (argv, err, want_err)
+        assert err.splitlines()[-1:] == want_err.splitlines()[-1:], argv
+        if code == 1 and not want_err.startswith("error:"):  # a usage error
+            assert err.startswith("usage: heegaard2"), argv
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_cli_reads_flags_as_the_argparse_oracle(data):
+    # the fuzz draws above, with prefixes, --flag=value, repeats and strays
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = _FUZZ_FLAGS[command]
+    pieces = []
+    for flag, values in flags.items():
+        for _ in range(data.draw(st.integers(0, 2))):  # absent, given or repeated
+            name = flag
+            if not data.draw(st.integers(0, 3)):  # a prefix, perhaps ambiguous or of --help
+                name = flag[:data.draw(st.integers(3, len(flag)))]
+            if values is None:
+                pieces.append((name,))
+            elif data.draw(st.booleans()):
+                pieces.append((f"{name}={data.draw(values)}",))
+            else:
+                pieces.append((name, data.draw(values)))
+    if command == "primitive" and data.draw(st.booleans()):
+        pieces.append((data.draw(st.text("xyXY1", max_size=5)),))
+    # a dash with a number or a space is a value, so a flag can take it
+    dashed = st.sampled_from(["-x y", "-.5", "-1."])
+    stray = st.sampled_from([*flags, "--bogus", "-z", "-h", "--help", "--he", "--he=x", "--odd=x",
+                             "--format=dot", "--f"]) | _INT | _JUNK | dashed
+    pieces += data.draw(st.lists(st.tuples(stray) | st.tuples(stray, _JUNK | dashed), max_size=1))
+    tokens = [token for piece in data.draw(st.permutations(pieces)) for token in piece]
+    before = data.draw(st.sampled_from([[]] * 5 + [["-z"], ["-h"], ["--bogus"], ["-1"]]))
+    # now and then an unknown command, or none (a flag or value where it should be)
+    command = data.draw(st.sampled_from([[command]] * 18 + [["nonsense"], []]))
+    _assert_same_as_the_oracle([*before, *command, *tokens])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["-z"], "the following arguments are required: command"),
+        (["wor"], "argument command: invalid choice: 'wor' (choose from 'words', 'primitive', "
+                  "'classify', 'goeritz', 'farey', 'sphere-complex')"),
+        (["words", "--p1", "3"], "the following arguments are required: --q1, --p2"),
+        (["words", "--p1", "3", "--q1", "1", "--p", "2"],
+         "ambiguous option: --p could match --p1, --p2"),
+        (["words", "--p1", "x", "--q=1"], "ambiguous option: --q=1 could match --q1, --q2"),
+        (["words", "--p1", "--q1", "1"], "argument --p1: expected one argument"),
+        (["words", "--p1=+5"], "argument --p1: invalid int value: '+5'"),
+        (["words", "--p1", "3", "--q1", "1", "--p2", "2", "--form", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["goeritz", "--case", "1a", "--abel", "--normal-form", "a"],
+         "argument --normal-form: not allowed with argument --abelianization"),
+        (["goeritz", "--case", "1a", "--abelianization=yes"],
+         "argument --abelianization: ignored explicit argument 'yes'"),
+        (["farey", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["primitive"], "the following arguments are required: word"),
+        (["primitive", "xy", "--bogus", "x", "-z"], "unrecognized arguments: --bogus x -z"),
+        (["-z", "farey", "--max-depth", "3", "4"], "unrecognized arguments: -z 4"),
+        (["farey", "--max", "-1"], "--max-depth must be non-negative"),
+        (["sphere-complex", "--cone", "-x y"], "argument --cone: invalid int value: '-x y'"),
+    ],
+)
+def test_usage_errors_keep_argparse_messages_and_order(argv, message):
+    code, out, err = _outcome(argv)
+    assert (code, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
+    _assert_same_as_the_oracle(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["-z", "--he"], ["farey", "-h"], ["words", "--p1", "3", "--h"],
+     ["primitive", "-h"], ["goeritz", "--case", "1a", "--help", "--abelianization", "x"]],
+)
+def test_help_prints_usage_from_the_table_and_exits_0(argv):
+    code, out, err = _outcome(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: heegaard2")
+    command = next((token for token in argv if token[0] != "-"), None)
+    assert (f"usage: heegaard2 {command} [-h]" if command else "words") in out
+    _assert_same_as_the_oracle(argv)
+
+
+@pytest.mark.parametrize("text", ["0", "-12", "007", "+5", "--5", "-", "5\n", "\u0663", "1_0",
+                                  " 4", "", "-0", "4 "])
+def test_int_reads_exactly_the_ascii_digit_pattern(text):
+    if re.fullmatch("-?[0-9]+", text):
+        assert cli._int(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"invalid int value: {text!r}")):
+            cli._int(text)
+
+
 # one valid invocation per subcommand with integer flags, naming every flag
 _INT_ARGVS = (
     ["words", "--p1", "5", "--q1", "2", "--p2", "3", "--q2", "1", "--index", "1"],
@@ -445,7 +563,7 @@ _INT_ARGVS = (
 )
 
 
-@pytest.mark.parametrize("value", ["\u0663", "1_0", " 4", "+5"])
+@pytest.mark.parametrize("value", ["\u0663", "1_0", " 4", "+5", "-", "5\n"])
 @pytest.mark.parametrize(
     "argv, at",
     [pytest.param(argv, at, id=argv[at - 1])
@@ -672,6 +790,7 @@ def _fresh_imports(*args):
         (["classify", "--m1", "lens:5,2", "--m2", "s2xs1"], {"classify"}),
         (["goeritz", "--case", "1a", "--abelianization"], {"goeritz"}),
         (["farey", "--max-depth", "3", "--odd"], {"complexes", "farey"}),
+        (["farey", "--max-depth", "3", "--odd", "--check-tree"], {"farey"}),
         (["sphere-complex", "--cone", "3"], {"complexes"}),
         (["sphere-complex", "--blacks", "2", "--whites-per-black", "2", "--farey-depth", "3"],
          {"complexes", "farey"}),
@@ -681,7 +800,7 @@ def test_cli_child_imports_only_its_subcommands_modules(argv, needed):
     baseline = _fresh_imports("-c", "pass")
     loaded = _fresh_imports("-m", "heegaard2.cli", *argv) - baseline
     assert {m for m in loaded if m.startswith("heegaard2.")} == {f"heegaard2.{m}" for m in needed}
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
 
 
 def test_package_loads_submodules_on_first_access():
