@@ -14,9 +14,11 @@ text (without the final newline), and ``main`` alone writes that text to
 stdout, once, after the command has returned: stdout stays empty on exit
 1 and on an ``error:`` exit 2.  A stdout closed by its reader (as in
 ``| head -1``) is no failure and keeps the command's exit code, so a
-check that answered false still exits 2.
+check that answered false still exits 2.  ``entry_point`` exits by
+``os._exit`` after the atexit handlers and a flush, skipping teardown.
 """
 
+import atexit
 import os
 import sys
 from itertools import groupby
@@ -285,18 +287,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    """Exit with ``main``'s code: run the atexit handlers, flush, skip teardown."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # main has set the code; the output is still buffered, so point stdout
-        # at devnull: the interpreter's own flush at exit has nothing to fail on
-        devnull = os.open(os.devnull, os.O_WRONLY)
+    atexit._run_exitfuncs()  # CPython's own exit routine, before its flush
+    for stream in (sys.stdout, sys.stderr):
         try:
-            os.dup2(devnull, sys.stdout.fileno())
-        except ValueError:  # a stream without a file descriptor, or a closed one
-            sys.stdout = os.fdopen(devnull, "w")
-    sys.exit(code)
+            stream.flush()
+        except (AttributeError, OSError):  # None if closed at start; main reported a failed write
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

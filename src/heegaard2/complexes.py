@@ -45,13 +45,14 @@ _fields_of = attrgetter("vertices", "edges", "triangles")
 class Complex:
     """Vertices (id, kind, label) with distinct ids and known kinds, edges (a, b)
     with a < b between them and triangles (a, b, c) whose edges are edges.  A value
-    record: equal and hashed by its read-only fields, a tuple and two frozensets of
-    the rows given; a simplex row of the wrong size is the first defect named."""
+    record: equal and hashed by its read-only fields, a tuple of ``Vertex`` rows and two
+    frozensets of the rows given; a row of the wrong size is the first defect named."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]],
                  triangles: Iterable[tuple[int, int, int]] = ()):
-        vertices, edges, triangles = tuple(vertices), frozenset(edges), frozenset(triangles)
-        for rows, size, name in ((edges, 2, "edge"), (triangles, 3, "triangle")):
+        vertices = tuple(map(tuple.__new__, repeat(Vertex), vertices))  # sizes checked below
+        edges, triangles = frozenset(edges), frozenset(triangles)
+        for rows, size, name in ((vertices, 3, "vertex"), (edges, 2, "edge"), (triangles, 3, "triangle")):
             if {*map(len, rows)} - {size}:  # named before zip cuts every row to the shortest
                 raise ValueError(f"bad {name} ({', '.join(map(str, next(r for r in rows if len(r) != size)))})")
         vars(self).update(vertices=vertices, edges=edges, triangles=triangles)

@@ -94,8 +94,13 @@ MUTANTS = (
            ("tests/test_complexes.py::test_a_repeated_edge_row_is_no_forest",
             "tests/test_complexes.py::test_forest_and_tree_match_the_counting_oracle")),
     Mutant("complex-rows-not-frozen", "complexes.py",
-           "        vertices, edges, triangles = tuple(vertices), frozenset(edges), frozenset(triangles)\n",
+           "        vertices = tuple(map(tuple.__new__, repeat(Vertex), vertices))  # sizes checked below\n"
+           "        edges, triangles = frozenset(edges), frozenset(triangles)\n",
            "",
+           ("tests/test_complexes.py::test_complex_freezes_the_rows_it_is_given",)),
+    Mutant("complex-vertex-rows-as-given", "complexes.py",
+           "tuple(map(tuple.__new__, repeat(Vertex), vertices))",
+           "tuple(vertices)",
            ("tests/test_complexes.py::test_complex_freezes_the_rows_it_is_given",)),
     Mutant("cone-check-apex-misses-a-vertex", "complexes.py",
            "    return far == others and len(rim_a) == len(others) - 1",
@@ -117,6 +122,19 @@ MUTANTS = (
            "    return _odd_parents(_grow(depth))[1:]\n",
            "    return _odd_parents(_grow(depth))[:0:-1]\n",
            ("tests/test_cli.py::test_farey_check_tree_exits_2_on_a_damaged_build",)),
+    Mutant("odd-subcomplex-drops-digit-9", "farey.py",
+           'if digit in "13579"}',
+           'if digit in "1357"}',
+           ("tests/test_farey.py::test_f_odd_matches_the_joined_label_oracle",)),
+    Mutant("free-reduce-skips-the-stack", "fgroup.py",
+           """    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:\n""",
+           "    if True:\n",
+           ("tests/test_fgroup.py::test_free_reduce_examples",
+            "tests/test_fgroup.py::test_free_reduce_finishes_nested_cancellations")),
+    Mutant("cli-exit-skips-atexit", "cli.py",
+           "    atexit._run_exitfuncs()  # CPython's own exit routine, before its flush\n",
+           "",
+           ("tests/test_cli.py::test_atexit_handler_registered_before_the_cli_still_runs",)),
 )
 
 

@@ -621,13 +621,17 @@ def test_failed_final_flush_exits_2_with_one_line(capsys, monkeypatch):
         def write(self, data):
             raise OSError(28, "No space left on device")
 
+    def exit_now(code):  # os._exit would end the test run itself
+        raise SystemExit(code)
+
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(FullDisk())))
     monkeypatch.setattr(sys, "argv", ["heegaard2", "primitive", "x"])
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: None)  # pytest's own hooks stay
+    monkeypatch.setattr(cli.os, "_exit", exit_now)
     with pytest.raises(SystemExit) as exited:
         cli.entry_point()
     assert exited.value.code == 2
     assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
-    sys.stdout.flush()  # the interpreter's flush at exit has nothing to fail on
 
 
 def _fresh_env():
@@ -646,6 +650,51 @@ def test_reader_closing_at_once_ends_the_cli_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+def test_atexit_handler_registered_before_the_cli_still_runs():
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'hook ran')\n"
+        "sys.argv = ['heegaard2', 'primitive', 'x']\n"
+        "runpy.run_module('heegaard2.cli', run_name='__main__')\n"
+        "print('not reached')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "primitive\ncriterion: whitehead reduction reaches length 1\nhook ran\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heegaard2.cli", "primitive", "x"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_fresh_env(),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_stdout_closed_at_start_exits_2_with_one_line():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "heegaard2.cli", "primitive", "x"],
+        stderr=subprocess.PIPE, text=True, env=_fresh_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_child_writes_what_main_writes_in_process(capsys):
+    argv = ["farey", "--max-depth", "12", "--odd", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "heegaard2.cli", *argv], capture_output=True, env=_fresh_env()
+    )
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, err.encode()) == (0, b"")
+    assert proc.stdout == out.encode()
 
 
 def test_farey_negative_depth(capsys):

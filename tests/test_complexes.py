@@ -1,4 +1,5 @@
 import itertools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -57,13 +58,20 @@ def test_complex_freezes_the_rows_it_is_given():
     frozen = complexes.Complex(vs, frozenset({(0, 1)}))
     for cpx in (complexes.Complex(vs, [(0, 1), (0, 1)]),
                 complexes.Complex(list(vs), [(0, 1)]),
-                complexes.Complex(iter(vs), ((0, 1) for _ in range(3)), iter(()))):
+                complexes.Complex(iter(vs), ((0, 1) for _ in range(3)), iter(())),
+                complexes.Complex([list(v) for v in vs], [(0, 1)]),
+                complexes.Complex(map(tuple, vs), [(0, 1)])):
         assert cpx == frozen and hash(cpx) == hash(frozen)
         assert type(cpx.vertices) is tuple and type(cpx.edges) is frozenset
+        assert {type(v) for v in cpx.vertices} == {Vertex}
         assert complexes.to_json(cpx)["edges"] == [[0, 1]]
         assert complexes.is_tree(cpx)
     with pytest.raises(TypeError, match="unhashable"):
         complexes.Complex(vs, [[0, 1]])
+    # a vertex row of the wrong size is named as edges and triangles are
+    for row, shown in (((1, KIND_SLOPE), "1, slope"), ([1, KIND_SLOPE, "0/1", 2], "1, slope, 0/1, 2")):
+        with pytest.raises(ValueError, match=re.escape(f"bad vertex ({shown})")):
+            complexes.Complex([vs[0], row], [(0, 1)])
 
 
 def test_make_complex_normalizes():
