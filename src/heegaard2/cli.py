@@ -272,6 +272,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         code, text = args.func(args)
+        if sys.stdout is None:  # closed at start: print would drop the text silently
+            raise OSError("stdout is closed")
         try:
             print(text)
             sys.stdout.flush()  # a write error in buffered output shows here

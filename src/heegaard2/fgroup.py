@@ -72,9 +72,12 @@ def free_reduce(word: str) -> str:
     >>> free_reduce("xxyYXX")
     ''
     """
-    w = _CANCEL.sub("", _checked(word))
+    w = _checked(word)
     if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:
-        return w  # four substring tests: faster than a regex search that finds nothing
+        return w  # already reduced; four substring tests beat a regex pass that finds nothing
+    w = _CANCEL.sub("", w)
+    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:
+        return w
     out: list[str] = []  # a stack, so that x^k X^k costs one pass and not k
     for ch in w:
         if out and out[-1] == ch.swapcase():
@@ -126,15 +129,11 @@ def cyclic_equal(w1: str, w2: str, up_to_inversion: bool = False) -> bool:
     return up_to_inversion and a == cyclic_canonical(invert(w2))
 
 
-def _sign_changes(*words: str) -> Iterator[str]:
-    return (w.translate(sign) for w in words for sign in _SIGN_CHANGES)
-
-
 def letter_symmetries(word: str) -> Iterator[str]:
     """The eight letter substitutions generated by swapping x with y and
     inverting x or y.  Each is an automorphism, so reduction, primitivity
     and cyclic length are preserved."""
-    return _sign_changes(word, word.translate(_SWAP_XY))
+    return (w.translate(sign) for w in (word, word.translate(_SWAP_XY)) for sign in _SIGN_CHANGES)
 
 
 def letter_obstruction_reason(word: str) -> str | None:
@@ -163,36 +162,31 @@ def has_letter_obstruction(word: str) -> bool:
     return letter_obstruction_reason(word) is not None
 
 
-# cyclic subword x y^p X (p >= 1) or x x y y, literal letters, as a match in
-# v + v.  A match longer than v would have period len(v), and neither pattern
-# has a period shorter than itself, so p + 2 <= len(v) and len(v) >= 4 hold.
-_SUBWORD = re.compile("xy+X|xxyy")
+# cyclic subword x y^p X (p >= 1), x x y y or y y x x, either sign of x and of y, as a
+# match in w + w; no pattern has a period below its length, so no match outgrows w.
+_SUBWORD = re.compile("x(?:y+|Y+)X|X(?:y+|Y+)x|(?:xx|XX)(?:yy|YY)|(?:yy|YY)(?:xx|XX)")
 
 
 def has_subword_obstruction(word: str) -> bool:
     """Subword certificate: a cyclic subword x y^p X (p >= 1) or x x y y,
     up to inverting x, inverting y, or reversing the curve orientation
     (global inversion).  The inverse is the reversal with both signs
-    changed, so the images are the sign changes of the word and of its
-    reversal.
+    changed, and the reversal of x x y y is y y x x: one search for their
+    sign variants and those of x y^p X in the doubled word finds them all.
 
     Stronger than :func:`has_letter_obstruction`: whenever this fires,
     the letter test fires as well.
     """
     w = cyclic_reduce(word)
-    return any(_SUBWORD.search(v + v) for v in _sign_changes(w, w[::-1]))
+    return _SUBWORD.search(w + w) is not None
 
 
-def _block_form(v: str) -> bool:
-    # cyclic product of blocks x^e y^n / x^e y^(n+1) with literal letters:
-    # one sign of x throughout, only positive y, y-runs of two adjacent sizes
-    if "Y" in v or ("x" in v and "X" in v):
-        return False
-    e = "X" if "X" in v else "x"
+def _block_form(v: str, e: str) -> bool:
+    # positive v is a cyclic product of blocks e f^n / e f^(n+1), f the other
+    # letter: the f-runs between cyclically consecutive e letters, from the first
     i = v.find(e)
     if i < 0:
         return False
-    # the y-runs between cyclically consecutive x letters, from the first on
     gaps = [len(run) for run in (v[i + 1 :] + v[:i]).split(e)]
     return max(gaps) - min(gaps) <= 1
 
@@ -204,12 +198,15 @@ def has_primitive_block_form(word: str) -> bool:
     decompose into blocks x^e y^n and x^e y^(n+1) for a single sign e and
     a single n >= 0.  Every primitive word passes; many imprimitive words
     pass as well (e.g. powers of a single generator), so this is only a
-    necessary test.
+    necessary test.  A letter with both signs keeps them under every
+    symmetry; otherwise the positive word is tested with x and with y
+    leading the blocks.
     """
     w = cyclic_reduce(word)
-    if not w:
+    if not w or ("x" in w and "X" in w) or ("y" in w and "Y" in w):
         return False
-    return any(_block_form(v) for v in letter_symmetries(w))
+    v = w.lower()
+    return _block_form(v, "x") or _block_form(v, "y")
 
 
 # The length-changing Whitehead automorphisms of the rank-2 free group,
@@ -273,23 +270,24 @@ class PrimitivityVerdict(NamedTuple):
 
 
 def primitive_power_root(word: str) -> PrimitivityVerdict:
-    """Compute the cyclic root and maximal exponent of the word, then
-    classify the root with the Whitehead oracle.
+    """Find the root and maximal exponent on the cyclic reduction (no
+    rotation changes the period), then classify the root with the Whitehead
+    oracle.  Only a returned root, that of a proper power, is made canonical.
 
     >>> primitive_power_root("xxx").kind, primitive_power_root("xxx").root
     ('power-of-primitive', 'x')
     """
-    c = cyclic_canonical(word)
-    n = len(c)
+    w = cyclic_reduce(word)
+    n = len(w)
     if n == 0:
         return PrimitivityVerdict("trivial")
-    period = (c + c).find(c, 1)  # the least rotation fixing c; it divides n
-    root, exponent = c[:period], n // period
+    period = (w + w).find(w, 1)  # the least rotation fixing w; it divides n
+    root, exponent = w[:period], n // period
     if not is_primitive(root):
         return PrimitivityVerdict("neither")
     if exponent == 1:
         return PrimitivityVerdict("primitive")
-    return PrimitivityVerdict("power-of-primitive", root, exponent)
+    return PrimitivityVerdict("power-of-primitive", cyclic_canonical(root), exponent)
 
 
 def word_from_intersections(crossings: Iterable[tuple[str, int]]) -> str:

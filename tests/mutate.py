@@ -127,10 +127,29 @@ MUTANTS = (
            'if digit in "1357"}',
            ("tests/test_farey.py::test_f_odd_matches_the_joined_label_oracle",)),
     Mutant("free-reduce-skips-the-stack", "fgroup.py",
-           """    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:\n""",
-           "    if True:\n",
+           '    w = _CANCEL.sub("", w)\n'
+           '    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:\n',
+           '    w = _CANCEL.sub("", w)\n    if True:\n',
            ("tests/test_fgroup.py::test_free_reduce_examples",
             "tests/test_fgroup.py::test_free_reduce_finishes_nested_cancellations")),
+    Mutant("free-reduce-skips-the-regex", "fgroup.py",
+           "    w = _checked(word)\n"
+           '    if "xX" not in w and "Xx" not in w and "yY" not in w and "Yy" not in w:\n',
+           "    w = _checked(word)\n    if True:\n",
+           ("tests/test_fgroup.py::test_free_reduce_examples",)),
+    Mutant("subword-drops-reversed-square", "fgroup.py",
+           "|(?:yy|YY)(?:xx|XX)",
+           "",
+           ("tests/test_fgroup.py::test_subword_obstruction_examples",)),
+    Mutant("block-form-allows-mixed-y", "fgroup.py",
+           """ or ("y" in w and "Y" in w)""",
+           "",
+           ("tests/test_fgroup.py::test_block_form_rejects_a_letter_with_both_signs",)),
+    Mutant("power-root-prints-the-raw-root", "fgroup.py",
+           "cyclic_canonical(root), exponent)",
+           "root, exponent)",
+           ("tests/test_fgroup.py::test_primitive_power_root_examples",
+            "tests/test_fgroup.py::test_rotated_proper_powers_match_the_oracle_with_a_canonical_root")),
     Mutant("cli-exit-skips-atexit", "cli.py",
            "    atexit._run_exitfuncs()  # CPython's own exit routine, before its flush\n",
            "",

@@ -212,6 +212,8 @@ def test_subword_obstruction_examples():
     assert fgroup.has_subword_obstruction("xxyyxy")  # x^2 y^2
     assert not fgroup.has_subword_obstruction("xxyxxyxxy")
     assert not fgroup.has_subword_obstruction("xxy")
+    # y^2 x^2 is x^2 y^2 read backwards, found only as the reversed square
+    assert fgroup.has_subword_obstruction("xxyxyy")
 
 
 def test_subword_obstruction_symmetries():
@@ -252,6 +254,12 @@ def test_block_form_examples():
     assert fgroup.has_primitive_block_form("y")  # via the x<->y swap
     assert not fgroup.has_primitive_block_form("xxyy")
     assert not fgroup.has_primitive_block_form("")
+
+
+def test_block_form_rejects_a_letter_with_both_signs():
+    # both fold to the block form xy xy once every letter is made positive
+    assert not fgroup.has_primitive_block_form("xyxY")
+    assert not fgroup.has_primitive_block_form("xyXy")
 
 
 def test_block_form_passes_on_primitives():
@@ -303,6 +311,11 @@ def test_primitive_power_root_examples():
     assert (v.kind, v.root, v.exponent) == ("power-of-primitive", "x", 3)
     v = fgroup.primitive_power_root("xxyxxyxxy")
     assert (v.kind, v.root, v.exponent) == ("power-of-primitive", "xxy", 3)
+    # a rotation that splits the root still prints the canonical root
+    v = fgroup.primitive_power_root("yxxyxxyxx")
+    assert (v.kind, v.root, v.exponent) == ("power-of-primitive", "xxy", 3)
+    v = fgroup.primitive_power_root("xyyX")
+    assert (v.kind, v.root, v.exponent) == ("power-of-primitive", "y", 2)
     assert fgroup.primitive_power_root("xyXY").kind == "neither"
     assert fgroup.primitive_power_root("xxyy").kind == "neither"
 
@@ -359,17 +372,19 @@ def test_primitive_words_up_to_matches_orbit_closure():
 
 
 @st.composite
-def _christoffel_powers(draw):
+def _christoffel_powers(draw, exponents):
+    """A Christoffel root of up to 60 letters raised to a drawn exponent,
+    under a letter symmetry and a rotation that may split the root."""
     n = draw(st.integers(1, 60))
     p = draw(st.integers(0, n).filter(lambda p: math.gcd(p, n - p) == 1))
-    k = draw(st.integers(1, 3))
+    k = draw(exponents)
     word = fgroup._christoffel(p, n - p) * k
     word = list(fgroup.letter_symmetries(word))[draw(st.integers(0, 7))]
     turn = draw(st.integers(0, len(word) - 1))
     return word[turn:] + word[:turn], k
 
 
-@given(_christoffel_powers())
+@given(_christoffel_powers(st.integers(1, 3)))
 def test_christoffel_powers_are_primitive_powers(word_and_k):
     word, k = word_and_k
     verdict = fgroup.primitive_power_root(word)
@@ -377,6 +392,16 @@ def test_christoffel_powers_are_primitive_powers(word_and_k):
         assert verdict.kind == "primitive", word
     else:
         assert (verdict.kind, verdict.exponent) == ("power-of-primitive", k), word
+
+
+@given(_christoffel_powers(st.integers(2, 6)))
+@example(("yxxyxxyxx", 3))
+@example(("YxYYxYYxY", 3))
+def test_rotated_proper_powers_match_the_oracle_with_a_canonical_root(word_and_k):
+    word, k = word_and_k
+    verdict = fgroup.primitive_power_root(word)
+    assert verdict == power_root_oracle(word) == ("power-of-primitive", verdict.root, k)
+    assert verdict.root == fgroup.cyclic_canonical(verdict.root)
 
 
 def _doubled_word_answers(w):
