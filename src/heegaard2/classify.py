@@ -13,7 +13,6 @@ q' = q or q q' = 1 (mod p); this criterion is standard material, not
 established here.
 """
 
-import re
 from collections import namedtuple
 from math import gcd
 from typing import NamedTuple, Union
@@ -68,7 +67,7 @@ def parse_summand(text: str) -> Summand:
         parts = text[len("lens:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"expected lens:p,q, got {text!r}")
-        if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        if not all(part.isascii() and part.removeprefix("-").isdigit() for part in parts):
             raise ValueError(f"expected integer lens parameters, got {text!r}")
         return Lens(*map(int, parts))
     raise ValueError(f"unknown summand {text!r}; use lens:p,q or s2xs1")

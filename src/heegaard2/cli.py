@@ -284,19 +284,33 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"error: {type(exc).__name__}:", *str(exc).split(), file=sys.stderr)
-        return 2
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"error: {type(exc).__name__}:", *str(exc).split(), file=sys.stderr)
+    return 2
 
 
 def entry_point() -> None:
-    """Exit with ``main``'s code: run the atexit handlers, flush, skip teardown."""
+    """Exit with ``main``'s code: run the atexit handlers, flush, skip teardown.
+    A handler's output that fails to flush exits 2 with one ``error:`` line,
+    unless its reader has left or ``main`` has reported a failed write."""
     code = main()
+    try:  # stdout holds text here only after a failed write, which main has reported
+        sys.stdout.flush()
+        reported = False
+    except (AttributeError, OSError):  # stdout is None if closed at start
+        reported = True
     atexit._run_exitfuncs()  # CPython's own exit routine, before its flush
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
-        except (AttributeError, OSError):  # None if closed at start; main reported a failed write
-            pass
+        except BrokenPipeError:
+            pass  # the reader has left: the command's code stands
+        except (AttributeError, OSError) as exc:  # a failed stderr has nowhere to report
+            if stream is sys.stdout and not reported:
+                code = _internal_error(exc)
     os._exit(code)
 
 

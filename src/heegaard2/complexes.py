@@ -172,13 +172,6 @@ def is_tree(c: Complex) -> bool:
     return bool(c._ids) and len(c._edge_ends[0]) == len(c._ids) - 1 and is_forest(c)
 
 
-def dimension(c: Complex) -> int | None:
-    """Largest simplex dimension present; None for the empty complex."""
-    if not c._ids:
-        return None
-    return 2 if c._triangle_ends[0] else 1 if c._edge_ends[0] else 0
-
-
 def _cut(columns, mask) -> list[list]:
     mask = list(mask)
     return [list(compress(column, mask)) for column in columns]
@@ -256,7 +249,13 @@ def sp_tree_model(black_count: int, whites_per_black: int) -> Complex:
     return Complex._of(list(range(len(kinds))), kinds, labels, (ea, eb))
 
 
-def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
+def haken_complex_model(black_count: int, whites_per_black: int, farey_depth: int) -> Complex:
+    """Model of the sphere complex: delete the blacks of the bipartite
+    tree and graft, for each black, a copy of the truncated odd Farey
+    tree whose first BFS vertices are identified with that black's
+    adjacent whites.  Shared whites glue neighboring copies; the result
+    is a tree.
+    """
     from . import farey  # deferred: farey builds on this module
 
     sp = sp_tree_model(black_count, whites_per_black)
@@ -268,7 +267,7 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
     labels = list(compress(sp._labels, is_white))
     white_ids = {w: j for j, w in enumerate(compress(sp._ids, is_white))}
     lo, hi = zip(*local_edges) if local_edges else ((), ())
-    ea, eb, graft, adj = [], [], {}, neighbors(sp)
+    ea, eb, adj = [], [], neighbors(sp)
     for b, label in compress(zip(sp._ids, sp._labels), map(KIND_BLACK.__eq__, sp._kinds)):
         # whites in id order, then fresh ids: copy is increasing, so i < j gives copy[i] < copy[j]
         taken = [white_ids[w] for w in adj[b]]
@@ -276,26 +275,8 @@ def _haken_build(black_count: int, whites_per_black: int, farey_depth: int):
         labels += map(f"{label}:".__add__, slots[len(taken):])
         ea += map(copy.__getitem__, lo)
         eb += map(copy.__getitem__, hi)
-        graft[label] = copy
     kinds = [KIND_WHITE] * len(white_ids) + [KIND_SLOPE] * (len(labels) - len(white_ids))
-    return Complex._of(list(range(len(labels))), kinds, labels, (ea, eb)), graft
-
-
-def haken_complex_model(black_count: int, whites_per_black: int, farey_depth: int) -> Complex:
-    """Model of the sphere complex: delete the blacks of the bipartite
-    tree and graft, for each black, a copy of the truncated odd Farey
-    tree whose first BFS vertices are identified with that black's
-    adjacent whites.  Shared whites glue neighboring copies; the result
-    is a tree.
-    """
-    return _haken_build(black_count, whites_per_black, farey_depth)[0]
-
-
-def haken_graft_map(black_count: int, whites_per_black: int,
-                    farey_depth: int) -> dict[str, list[int]]:
-    """For each black label of the underlying bipartite tree, the vertex
-    ids of its grafted copy in BFS slot order (whites first)."""
-    return _haken_build(black_count, whites_per_black, farey_depth)[1]
+    return Complex._of(list(range(len(labels))), kinds, labels, (ea, eb))
 
 
 def sp_cone_model(base_size: int) -> Complex:

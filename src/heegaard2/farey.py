@@ -90,26 +90,6 @@ def farey_adjacent(a: Slope, b: Slope) -> bool:
     return abs(a.n * b.d - b.n * a.d) == 1
 
 
-def mediant(a: Slope, b: Slope) -> Slope:
-    """The mediant (n1+n2)/(d1+d2); adjacent to both parents when the
-    parents are adjacent."""
-    return slope_normalize(a.n + b.n, a.d + b.d)
-
-
-def is_odd_vertex(a: Slope) -> bool:
-    """True for odd numerator; 1/0 qualifies."""
-    return a.n % 2 != 0
-
-
-def arc_slope(endpoint: tuple[int, int]) -> Slope:
-    """Slope of the line from the origin to a lattice point (s, t) with t
-    odd, read as t/s so that the vertical lift (0, 1) gives 1/0."""
-    s, t = endpoint
-    if t % 2 == 0:
-        raise ValueError(f"second coordinate must be odd, got {endpoint}")
-    return slope_normalize(t, s)
-
-
 def _mediants(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
     """The candidate apexes a + b and a - b over the Farey-adjacent edge
     a-b, as (n, d, n, d): a common divisor would divide the determinant

@@ -16,7 +16,7 @@ safe to call concurrently.
 
 import re
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 ALPHABET = "xXyY"
 _DELETE_LETTERS = str.maketrans("", "", ALPHABET)  # leaves only the other letters
@@ -115,18 +115,6 @@ def cyclic_canonical(word: str) -> str:
     doubled = keyed + keyed
     best = min(range(n), key=lambda i: doubled[i : i + n])
     return w[best:] + w[:best]
-
-
-def cyclic_equal(w1: str, w2: str, up_to_inversion: bool = False) -> bool:
-    """Equality of curve words up to rotation.
-
-    With ``up_to_inversion`` the comparison also allows reversing the
-    orientation of one curve (global inversion of one word).
-    """
-    a = cyclic_canonical(w1)
-    if a == cyclic_canonical(w2):
-        return True
-    return up_to_inversion and a == cyclic_canonical(invert(w2))
 
 
 def letter_symmetries(word: str) -> Iterator[str]:
@@ -288,26 +276,6 @@ def primitive_power_root(word: str) -> PrimitivityVerdict:
     if exponent == 1:
         return PrimitivityVerdict("primitive")
     return PrimitivityVerdict("power-of-primitive", cyclic_canonical(root), exponent)
-
-
-def word_from_intersections(crossings: Iterable[tuple[str, int]]) -> str:
-    """Build the canonical cyclic word read off from a signed crossing
-    sequence of a curve with the two dual disks.
-
-    Each crossing is a pair (generator, sign) with generator "x" or "y"
-    and sign +1 or -1.
-
-    >>> word_from_intersections([("x", 1), ("x", 1), ("y", 1)])
-    'xxy'
-    """
-    letters = []
-    for gen, sign in crossings:
-        if gen not in ("x", "y"):
-            raise ValueError(f"unknown generator {gen!r}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        letters.append(gen if sign == 1 else gen.upper())
-    return cyclic_canonical("".join(letters))
 
 
 def _christoffel(p: int, q: int) -> str:

@@ -565,6 +565,23 @@ def odd_graft_tree_oracle(farey_depth):
     return [labels[vid] for vid in order], local_edges
 
 
+def graft_copies(model, black_count, whites_per_black):
+    """Each black's grafted copy in ``model``, a ``haken_complex_model`` on
+    ``sp_tree_model(black_count, whites_per_black)``, rebuilt from labels and
+    keyed by the black's label: the vertices labelled as that black's whites
+    in the bipartite tree, by increasing tree id, then the vertices labelled
+    ``disk{k}:...``, by increasing id."""
+    sp = complexes.sp_tree_model(black_count, whites_per_black)
+    label_of = {v.id: v.label for v in sp.vertices}
+    id_of = {v.label: v.id for v in model.vertices}
+    copies = {}
+    for black in (v for v in sp.vertices if v.kind == KIND_BLACK):
+        whites = sorted(a + b - black.id for a, b in sp.edges if black.id in (a, b))
+        fresh = sorted(v.id for v in model.vertices if v.label.startswith(f"{black.label}:"))
+        copies[black.label] = [id_of[label_of[w]] for w in whites] + fresh
+    return copies
+
+
 # ``sp_tree_model`` as first written, verbatim: breadth-first growth
 # simulated with a deque of free whites, a ``None`` root sentinel and a
 # black counter.  The library's plain-list growth must give an equal

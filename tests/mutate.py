@@ -106,6 +106,10 @@ MUTANTS = (
            "    return far == others and len(rim_a) == len(others) - 1",
            "    return len(rim_a) == len(others) - 1",
            ("tests/test_complexes.py::test_cone_check_rejects_a_bare_or_partial_apex",)),
+    Mutant("dot-edges-in-column-order", "complexes.py",
+           "for a, b in sorted(zip(*c._edge_ends)))",
+           "for a, b in zip(*c._edge_ends))",
+           ("tests/test_cli.py::test_output_pin[farey-dot-4]",)),
     Mutant("cli-parse-skips-required-flags", "cli.py",
            """raise ValueError(f"the following arguments are required: {', '.join(missing)}")""",
            "pass",
@@ -154,6 +158,15 @@ MUTANTS = (
            "    atexit._run_exitfuncs()  # CPython's own exit routine, before its flush\n",
            "",
            ("tests/test_cli.py::test_atexit_handler_registered_before_the_cli_still_runs",)),
+    Mutant("cli-exit-drops-hook-write-error", "cli.py",
+           "            if stream is sys.stdout and not reported:\n"
+           "                code = _internal_error(exc)\n",
+           "            pass\n",
+           ("tests/test_cli.py::test_hook_output_that_fails_at_the_final_flush",)),
+    Mutant("cli-exit-reports-write-twice", "cli.py",
+           "        reported = True\n",
+           "        reported = False\n",
+           ("tests/test_cli.py::test_failed_final_flush_exits_2_with_one_line",)),
 )
 
 

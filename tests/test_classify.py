@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from heegaard2 import classify
+from heegaard2 import classify, cli
 from heegaard2.classify import Lens, S2xS1
 
 
@@ -32,6 +32,24 @@ def test_parse_summand():
                 "lens:1_3,2", "lens:\u0665,2", "lens:5,\uff12", "lens:+5,2", "lens: 5,2"):
         with pytest.raises(ValueError):
             classify.parse_summand(bad)
+
+
+@pytest.mark.parametrize("text", ["5", "-3", "05", "-0", "+5", "1_0", "\u0663", "-", "--5", " 5", ""])
+def test_lens_parameters_read_the_cli_integer_grammar(text):
+    try:
+        cli._int(text)
+    except ValueError:
+        cli_reads = False
+    else:
+        cli_reads = True
+    for summand in (f"lens:{text},1", f"lens:7,{text}"):
+        try:
+            classify.parse_summand(summand)
+        except ValueError as exc:  # Lens may refuse the value; the grammar has read it
+            read = "integer lens parameters" not in str(exc)
+        else:
+            read = True
+        assert read == cli_reads, summand
 
 
 def test_genus_one_reversible():

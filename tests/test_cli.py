@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import hashlib
 import inspect
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from unittest import mock
@@ -611,35 +613,61 @@ def test_failed_write_exits_2_with_one_line(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
 
 
-def test_failed_final_flush_exits_2_with_one_line(capsys, monkeypatch):
-    """A short output stays buffered through ``main``'s print, so a full
-    disk shows only at ``entry_point``'s flush."""
-    class FullDisk(io.RawIOBase):
-        full = True
+class _Disk(io.RawIOBase):
+    """A raw stdout that discards what it is given, or raises ``error`` if set."""
+    error = None
 
-        def writable(self):
-            return True
+    def writable(self):
+        return True
 
-        def write(self, data):
-            if self.full:
-                raise OSError(28, "No space left on device")
-            return len(data)  # discarded
+    def write(self, data):
+        if self.error:
+            raise self.error
+        return len(data)
 
+
+def _entry_point_code(monkeypatch, disk, exitfuncs=lambda: None):
+    """``entry_point``'s exit code for ``primitive x`` with stdout on ``disk`` and
+    ``exitfuncs`` for the atexit handlers (pytest's own stay registered)."""
     def exit_now(code):  # os._exit would end the test run itself
         raise SystemExit(code)
 
-    disk = FullDisk()
     stdout = io.TextIOWrapper(io.BufferedWriter(disk))
     monkeypatch.setattr(sys, "stdout", stdout)
     monkeypatch.setattr(sys, "argv", ["heegaard2", "primitive", "x"])
-    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: None)  # pytest's own hooks stay
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", exitfuncs)
     monkeypatch.setattr(cli.os, "_exit", exit_now)
     with pytest.raises(SystemExit) as exited:
         cli.entry_point()
-    assert exited.value.code == 2
+    disk.error = None
+    stdout.close()  # writes the bytes still buffered to the disk, so collecting it flushes nothing
+    return exited.value.code
+
+
+def test_failed_final_flush_exits_2_with_one_line(capsys, monkeypatch):
+    """``main``'s own flush meets the full disk and reports it; the bytes stay
+    buffered, and ``entry_point``'s flush, failing on them again, adds no line."""
+    disk = _Disk()
+    disk.error = OSError(28, "No space left on device")
+    assert _entry_point_code(monkeypatch, disk) == 2
     assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
-    disk.full = False
-    stdout.close()  # drops the bytes still buffered, so collecting it flushes nothing
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (OSError(28, "No space left on device"), 2, "error: OSError: [Errno 28] No space left on device\n"),
+    (BrokenPipeError(32, "Broken pipe"), 0, ""),
+], ids=["full-disk", "reader-left"])
+def test_hook_output_that_fails_at_the_final_flush(capsys, monkeypatch, error, code, err):
+    """Only an atexit handler's output is still buffered at ``entry_point``'s
+    flush: a full disk there exits 2 with one line, a reader that left keeps 0."""
+    disk = _Disk()
+
+    def hook():  # the disk fills after main has written and flushed its text
+        disk.error = error
+        print("hook ran")
+
+    assert _entry_point_code(monkeypatch, disk, hook) == code
+    assert capsys.readouterr().err == err
 
 
 def _fresh_env():
@@ -703,6 +731,91 @@ def test_child_writes_what_main_writes_in_process(capsys):
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (code, err.encode()) == (0, b"")
     assert proc.stdout == out.encode()
+
+
+_CHECK_TREE = "forest: true\nconnected to 1/0 within depth+2: true\n"
+
+# The output pins: id, argv as a shell would split it, the exit code and the
+# whole stdout, or its sha256 after "sha256:".
+_PINS = (
+    ("check-tree-10", "farey --max-depth 10 --odd --check-tree", 0, _CHECK_TREE),
+    ("check-tree-16", "farey --max-depth 16 --odd --check-tree", 0, _CHECK_TREE),
+    ("check-tree-prefix", "farey --max 3 --odd --check-tree", 0, _CHECK_TREE),
+    ("farey-14", "farey --max-depth 14", 0, "vertices: 65536\nedges: 131069\ntriangles: 65534\n"),
+    ("farey-odd-json-6", "farey --max-depth 6 --odd --format json", 0,
+     "sha256:7eb8dac82e431a72df5f05d95f8d0ff8ca823ddd0cbcb031e15b4497a0255547"),
+    ("farey-dot-4", "farey --max-depth 4 --format dot", 0,
+     "sha256:beec6c3c29bde41808e5ab5c0f814741ef262e877cc2a43041521b00c9be30e5"),
+    ("farey-json-8", "farey --max-depth 8 --format json", 0,  # the build order
+     "sha256:92a5a70a00b4b3d94e56f6332116b0f1f0b039ad11ca2579bc19be708a0a30c5"),
+    ("farey-odd-json-12", "farey --max-depth 12 --odd --format json", 0,
+     "sha256:07a2346891d6ba267e9eacd07ebfd07727ac6e00410f9b11ba1e508ae229c950"),
+    ("graft-2", "sphere-complex --blacks 2 --whites-per-black 3 --farey-depth 4", 0,
+     "vertices: 85\nedges: 84\ntree: true\n"),
+    ("graft-25", "sphere-complex --blacks 25 --whites-per-black 3 --farey-depth 8", 0,
+     "vertices: 17051\nedges: 17050\ntree: true\n"),
+    ("graft-json-3", "sphere-complex --blacks 3 --whites-per-black 3 --farey-depth 4 --format json", 0,
+     "sha256:d6ca58dc653040dfecf5e5009ad2488a0e1dea9050e5727958c87e7126e23aaa"),
+    ("graft-json-25", "sphere-complex --blacks 25 --whites-per-black 3 --farey-depth 8 --format json", 0,
+     "sha256:d8daecf1dafaad57d60bba55aa36a17bdb0fe4f8592ab1a7f2c70b57d0dbf7c6"),
+    ("cone-5", "sphere-complex --cone 5", 0, "vertices: 6\nedges: 9\ncone: true\n"),
+    ("cone-2000", "sphere-complex --cone 2000", 0, "vertices: 2001\nedges: 3999\ncone: true\n"),
+    ("cone-dot-5", "sphere-complex --cone 5 --format dot", 0,
+     "sha256:c7a93ec970b5c0e07fb3c1b1b40181512f7851b816061685c5766c4a88580ca0"),
+    ("goeritz-normal-form", "goeritz --case 1b --normal-form 'd b d'", 0, "a b\n"),
+    ("goeritz-abelianization-2", "goeritz --case 2 --abelianization", 0, "Z^2 + Z/2^3\n"),
+    ("goeritz-abelianization-2-json", "goeritz --case 2 --abelianization --format json", 0,
+     '{"free_rank": 2, "torsion": [2, 2, 2]}\n'),
+    ("goeritz-abelianization-1b", "goeritz --case 1b --abelianization", 0, "Z + Z/2^2\n"),
+    ("words-3", "words --p1 3 --q1 1 --p2 2", 0, "xxyyy\nxxyxxyy\nxxyxxyxxy\n"),
+    ("words-2-index-2", "words --p1 2 --q1 1 --p2 3 --index 2", 0, "xxxyxxxy\n"),
+    ("words-40", "words --p1 40 --q1 11 --p2 3", 0,
+     "sha256:0db3f61b0f0d499fab81aa39fc70ec137cb8a2cd2350b37e1786492a0f7f6891"),
+    ("words-40-json", "words --p1 40 --q1 11 --p2 3 --format json", 0,
+     "sha256:51b65792ff48445ae78bedbcfad7dd25a32099785a489f22a68af86a8a771494"),
+    ("words-1000-last", "words --p1 1000 --q1 7 --p2 5 --index 1000", 0, "xxxxxy" * 1000 + "\n"),
+    ("words-1000-first", "words --p1 1000 --q1 7 --p2 5 --index 1", 0, "xxxxx" + "y" * 1000 + "\n"),
+    ("classify", "classify --m1 lens:5,2 --m2 lens:5,2", 0,
+     "count: 2\nsplitting: case=1b symmetric=true\nsplitting: case=1a symmetric=false\n"),
+    ("primitive-neither", "primitive xyxyyyy", 0,
+     "neither\ncriterion: whitehead reduction stops above length 1\n"),
+    ("primitive-power", "primitive xxyxxyxxy", 0,
+     "power-of-primitive(xxy, 3)\ncriterion: primitive root xxy repeated 3 times\n"),
+    ("primitive-power-split-root", "primitive yxxyxxyxx", 0,  # a rotation that splits the root
+     "power-of-primitive(xxy, 3)\ncriterion: primitive root xxy repeated 3 times\n"),
+    ("primitive-power-conjugate", "primitive xyyX", 0,
+     "power-of-primitive(y, 2)\ncriterion: primitive root y repeated 2 times\n"),
+    ("primitive-squares", "primitive xxyy", 0, "neither\ncriterion: contains a square of each generator\n"),
+    ("primitive-nested-cancel", "primitive xxyYXXy", 0,
+     "primitive\ncriterion: whitehead reduction reaches length 1\n"),
+    ("primitive-power-50", "primitive " + "xxy" * 50, 0,
+     "power-of-primitive(xxy, 50)\ncriterion: primitive root xxy repeated 50 times\n"),
+)
+_FRESH_PINS = ("farey-dot-4", "graft-json-3", "words-40", "goeritz-normal-form")
+
+
+def _assert_pinned(out: bytes, expected: str):
+    if expected.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out).hexdigest() == expected
+    else:
+        assert out == expected.encode()
+
+
+@pytest.mark.parametrize("argv, code, expected",
+                         [pytest.param(shlex.split(a), c, e, id=i) for i, a, c, e in _PINS])
+def test_output_pin(capsys, argv, code, expected):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    _assert_pinned(out.encode(), expected)
+
+
+@pytest.mark.parametrize("argv, code, expected",
+                         [pytest.param(shlex.split(a), c, e, id=i) for i, a, c, e in _PINS if i in _FRESH_PINS])
+def test_output_pin_in_a_fresh_process(argv, code, expected):
+    proc = subprocess.run([sys.executable, "-m", "heegaard2.cli", *argv],
+                          capture_output=True, env=_fresh_env())
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    _assert_pinned(proc.stdout, expected)
 
 
 def test_farey_negative_depth(capsys):

@@ -13,6 +13,7 @@ from helpers import (
     cone_check_tuples_oracle,
     cut_build,
     forest_oracle,
+    graft_copies,
     induced_oracle,
     is_forest_oracle,
     rehang_build,
@@ -82,20 +83,6 @@ def test_make_complex_normalizes():
     assert cpx.edges == frozenset({(0, 1)})
 
 
-def test_dimension():
-    assert complexes.dimension(complexes.make_complex([])) is None
-    point = complexes.make_complex([Vertex(0, KIND_BLACK, "a")])
-    assert complexes.dimension(point) == 0
-    assert complexes.dimension(complexes.sp_tree_model(2, 2)) == 1
-    assert complexes.dimension(complexes.haken_complex_model(2, 3, 2)) == 1
-    tri = complexes.make_complex(
-        [Vertex(i, KIND_SLOPE, str(i)) for i in range(3)],
-        [(0, 1), (0, 2), (1, 2)],
-        [(0, 1, 2)],
-    )
-    assert complexes.dimension(tri) == 2
-
-
 def test_sp_tree_star():
     cpx = complexes.sp_tree_model(1, 3)
     assert len(cpx.vertices) == 4
@@ -161,7 +148,7 @@ def test_haken_single_black_is_the_odd_subtree():
         for a, b in fodd.edges
         if a in comp and b in comp
     }
-    graft = complexes.haken_graft_map(1, 3, depth)
+    graft = graft_copies(cpx, 1, 3)
     (copy,) = graft.values()
     pos = {vid: slot for slot, vid in enumerate(copy)}
     got = {
@@ -174,7 +161,7 @@ def test_haken_single_black_is_the_odd_subtree():
 def test_haken_copies_isomorphic_to_odd_subtree():
     blacks, whites, depth = 3, 3, 3
     cpx = complexes.haken_complex_model(blacks, whites, depth)
-    graft = complexes.haken_graft_map(blacks, whites, depth)
+    graft = graft_copies(cpx, blacks, whites)
     fodd = farey.f_odd_subcomplex(farey.stern_brocot_ball(depth))
     inf_id = next(v.id for v in fodd.vertices if v.label == "1/0")
     comp = complexes.component(fodd, inf_id)
@@ -195,11 +182,10 @@ def test_haken_copies_isomorphic_to_odd_subtree():
 
 
 def test_haken_shared_whites_glue_copies():
-    graft = complexes.haken_graft_map(2, 3, 3)
-    copies = list(graft.values())
+    cpx = complexes.haken_complex_model(2, 3, 3)
+    copies = list(graft_copies(cpx, 2, 3).values())
     shared = set(copies[0]) & set(copies[1])
     assert len(shared) == 1
-    cpx = complexes.haken_complex_model(2, 3, 3)
     k = kinds(cpx)
     assert all(k[v] == KIND_WHITE for v in shared)
 
@@ -228,7 +214,7 @@ def test_cone_model():
     adj = complexes.neighbors(cone)
     assert len(adj[0]) == 5
     assert complexes.cone_check(cone)
-    assert complexes.dimension(cone) == 2
+    assert len(cone.triangles) == 4
     base = complexes.induced(cone, {v.id for v in cone.vertices if v.id != 0})
     assert complexes.is_tree(base)
     with pytest.raises(ValueError):
@@ -454,7 +440,7 @@ def test_readers_build_no_views():
     for cpx in (farey.f_odd_subcomplex(farey.stern_brocot_ball(4)),
                 complexes.haken_complex_model(3, 3, 3), complexes.sp_tree_model(3, 3)):
         complexes.to_json(cpx), complexes.to_dot(cpx), complexes.neighbors(cpx)
-        complexes.is_tree(cpx), complexes.cone_check(cpx), complexes.dimension(cpx)
+        complexes.is_tree(cpx), complexes.cone_check(cpx)
         complexes.induced(cpx, range(5))
         assert not vars(cpx).keys() & {"vertices", "edges", "triangles"}
 

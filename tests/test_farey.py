@@ -69,23 +69,6 @@ def test_farey_adjacent():
         assert farey.farey_adjacent(na, nb) == farey.farey_adjacent(a, b)
 
 
-def test_is_odd_vertex():
-    assert farey.is_odd_vertex(Slope(3, 2))
-    assert not farey.is_odd_vertex(Slope(2, 3))
-    assert farey.is_odd_vertex(Slope(1, 0))
-    assert farey.is_odd_vertex(Slope(-1, 2))
-    assert not farey.is_odd_vertex(Slope(0, 1))
-
-
-def test_arc_slope():
-    assert farey.arc_slope((0, 1)) == Slope(1, 0)
-    assert farey.arc_slope((1, 1)) == Slope(1, 1)
-    assert farey.arc_slope((2, 3)) == Slope(3, 2)
-    assert farey.arc_slope((-2, 3)) == Slope(-3, 2)
-    with pytest.raises(ValueError):
-        farey.arc_slope((1, 2))
-
-
 def test_ball_depth_zero():
     ball = farey.stern_brocot_ball(0)
     assert labels(ball) == {"1/0", "0/1", "1/1", "-1/1"}
@@ -102,13 +85,17 @@ def test_ball_depth_one_adds_mediants():
 
 
 def test_mediant_adjacent_to_parents():
+    # both candidate apexes that _grow computes on an edge, a + b and a - b
     ball = farey.stern_brocot_ball(4)
     slope_of = {v.id: farey.slope_from_label(v.label) for v in ball.vertices}
     for a, b in ball.edges:
         sa, sb = slope_of[a], slope_of[b]
-        m = farey.mediant(sa, sb)
-        assert farey.farey_adjacent(m, sa)
-        assert farey.farey_adjacent(m, sb)
+        pn, pd, mn, md = farey._mediants(*sa, *sb)
+        assert Slope(pn, pd) == farey.slope_normalize(sa.n + sb.n, sa.d + sb.d)
+        assert Slope(mn, md) == farey.slope_normalize(sa.n - sb.n, sa.d - sb.d)
+        for m in (Slope(pn, pd), Slope(mn, md)):
+            assert farey.farey_adjacent(m, sa)
+            assert farey.farey_adjacent(m, sb)
 
 
 def test_ball_is_flag_and_edge_complete():

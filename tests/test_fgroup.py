@@ -108,8 +108,6 @@ WORD_READERS = [
     fgroup.free_reduce,
     fgroup.cyclic_reduce,
     fgroup.cyclic_canonical,
-    lambda w: fgroup.cyclic_equal(w, "x"),
-    lambda w: fgroup.cyclic_equal("x", w, up_to_inversion=True),
     fgroup.letter_obstruction_reason,
     fgroup.has_letter_obstruction,
     fgroup.has_subword_obstruction,
@@ -183,12 +181,6 @@ def test_cyclic_canonical_constant_on_rotations():
         c = fgroup.cyclic_canonical(w)
         for i in range(len(w)):
             assert fgroup.cyclic_canonical(w[i:] + w[:i]) == c
-
-
-def test_cyclic_equal_modes():
-    assert fgroup.cyclic_equal("xxy", "yxx")
-    assert not fgroup.cyclic_equal("xxy", "YXX")
-    assert fgroup.cyclic_equal("xxy", "YXX", up_to_inversion=True)
 
 
 def test_letter_obstruction_examples():
@@ -345,17 +337,6 @@ def test_primitive_power_root_structure():
             assert v.root * v.exponent == c
         elif v.kind == "primitive":
             assert fgroup.is_primitive(c)
-
-
-def test_word_from_intersections():
-    crossings = [("x", 1), ("x", 1), ("y", 1), ("y", 1), ("y", 1)]
-    assert fgroup.word_from_intersections(crossings) == "xxyyy"
-    assert fgroup.word_from_intersections([]) == ""
-    assert fgroup.word_from_intersections([("x", 1), ("x", -1)]) == ""
-    with pytest.raises(ValueError):
-        fgroup.word_from_intersections([("z", 1)])
-    with pytest.raises(ValueError):
-        fgroup.word_from_intersections([("x", 2)])
 
 
 def test_primitive_words_up_to_smallest():
