@@ -106,7 +106,7 @@ def _cmd_goeritz(args) -> tuple[int, str]:
     from . import goeritz
     presentation = goeritz.goeritz_presentation(args.case)
     if args.normal_form is not None:
-        word = goeritz.parse_tokens(args.normal_form, args.case)
+        word = goeritz.parse_tokens(args.normal_form)
         nf = goeritz.format_tokens(goeritz.normal_form(args.case, word))
         payload = {"input": goeritz.format_tokens(word), "normal_form": nf}
         text = nf

@@ -194,15 +194,6 @@ def to_json(c: Complex) -> dict:
     }
 
 
-def from_json(data: dict) -> Complex:
-    try:  # a missing key, a wrong type or a simplex of the wrong size is a ValueError
-        return make_complex((Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"]),
-                            [(a, b) for a, b in data["edges"]],
-                            [(a, b, c) for a, b, c in data.get("triangles", [])])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed complex record: {err!r}") from None
-
-
 _DOT_ATTRS = {
     KIND_BLACK: "shape=circle, style=filled, fillcolor=black, fontcolor=white",
     KIND_WHITE: "shape=circle",

@@ -121,8 +121,6 @@ def _grow(depth: int) -> _Build:
         h = len(ids) // 2
         by_pb = sorted(range(h - 2, len(pb)), key=pb.__getitem__)  # c - 2 for the ids c grown last
         ends_a = sorted(ids[:h] * 2)
-        if list(map(pb.__getitem__, by_pb)) != ends_a[h:]:
-            raise AssertionError(f"expected each of ids {h // 2}..{h - 1} to be pb of two ids grown last")
         ends_b = ids[h:] + [ids[j + 2] for j in by_pb]
         apexes = pb[h - 2:] + list(map(pa.__getitem__, by_pb))
         for a, b, x in zip(ends_a, ends_b, apexes):

@@ -70,16 +70,13 @@ def invert_word(word: Word) -> Word:
     )
 
 
-def parse_tokens(text: str, case: str | None = None) -> Word:
+def parse_tokens(text: str) -> Word:
     """Parse a whitespace-separated token word; "1" is the empty word.
-    With ``case`` given, tokens are checked against that alphabet."""
+    Tokens are not checked against an alphabet: ``normal_form`` does that."""
     text = text.strip()
     if text in ("", "1"):
         return ()
-    word = tuple(text.split())
-    if case is not None:
-        _check_alphabet(word, case)
-    return word
+    return tuple(text.split())
 
 
 def format_tokens(word: Word) -> str:

@@ -71,6 +71,18 @@ MUTANTS = (
            "min(diag[i], diag[k]), max(diag[i], diag[k])",
            ("tests/test_goeritz.py::test_smith_diagonal_random_matrices_against_sympy",
             "tests/test_goeritz.py::test_smith_diagonal_closes_the_divisibility_chain")),
+    Mutant("rules-half-twist-on-b-only", "goeritz.py",
+           """for tok in ("b", "b'")]""",
+           """for tok in ("b",)]""",
+           ("tests/test_goeritz.py::test_rules_read_off_the_presentations_match_the_oracle",
+            "tests/test_goeritz.py::test_local_confluence_shipped_systems",
+            "tests/test_goeritz.py::test_normal_form_shape_1b")),
+    Mutant("rules-central-without-inverse", "goeritz.py",
+           """letters = (z,) if z in involutions else (z, z + "'")""",
+           "letters = (z,)",
+           ("tests/test_goeritz.py::test_rules_read_off_the_presentations_match_the_oracle",
+            "tests/test_goeritz.py::test_centrality",
+            "tests/test_goeritz.py::test_normal_form_shape_2")),
     Mutant("grow-reversed-round", "farey.py",
            "        for a, b, x in zip(ends_a, ends_b, apexes):\n",
            "        for a, b, x in reversed(list(zip(ends_a, ends_b, apexes))):\n",

@@ -245,39 +245,13 @@ def test_json_round_trip():
         complexes.haken_complex_model(6, 3, 4),
     ):
         data = complexes.to_json(cpx)
-        back = complexes.from_json(data)
+        back = complexes.make_complex(
+            [Vertex(v["id"], v["kind"], v["label"]) for v in data["vertices"]],
+            map(tuple, data["edges"]), map(tuple, data["triangles"]),
+        )
         assert back == cpx
         assert all(type(v) is Vertex for v in back.vertices)
         assert isinstance(data["edges"], list)
-
-
-_TWO_SLOPES = [
-    {"id": 0, "kind": KIND_SLOPE, "label": "0/1"},
-    {"id": 1, "kind": KIND_SLOPE, "label": "1/0"},
-]
-
-
-@pytest.mark.parametrize(
-    "data, cause",
-    [
-        ({"vertices": []}, "KeyError('edges')"),
-        ({"vertices": [{"id": 0, "label": "0/1"}], "edges": []}, "KeyError('kind')"),
-        ({"vertices": _TWO_SLOPES, "edges": [[0, "1"]]}, "TypeError"),
-        ({"vertices": _TWO_SLOPES, "edges": [[0]]}, "expected 2, got 1"),
-        ({"vertices": _TWO_SLOPES, "edges": [[0, 1, 1]]}, "expected 2"),
-        ({"vertices": _TWO_SLOPES, "edges": [[0, 1]], "triangles": [[0, 1]]}, "expected 3, got 2"),
-        ({"vertices": _TWO_SLOPES, "edges": [[0, 2]]}, "bad edge"),
-    ],
-)
-def test_from_json_rejects_malformed_records(data, cause):
-    with pytest.raises(ValueError, match="^malformed complex record: ") as info:
-        complexes.from_json(data)
-    assert cause in str(info.value)
-
-
-def test_from_json_triangles_are_optional():
-    cpx = complexes.from_json({"vertices": _TWO_SLOPES, "edges": [[1, 0]]})
-    assert cpx.edges == {(0, 1)} and cpx.triangles == frozenset()
 
 
 def test_dot_escapes_quotes_and_backslashes_in_labels():
@@ -505,7 +479,7 @@ def test_every_builder_leaves_distinct_larger_ends():
 
 def test_simplex_rows_of_the_wrong_size_are_named():
     """A row of the wrong size is the first defect named, by ``Complex``,
-    ``make_complex`` and the oracle alike; ``from_json`` rejects it too."""
+    ``make_complex`` and the oracle alike."""
     three = tuple(Vertex(i, KIND_BLACK, "abc"[i]) for i in range(3))
     cases = [
         ((three, [(0, 1, 2), (1, 2)]), "bad edge (0, 1, 2)"),
@@ -521,9 +495,6 @@ def test_simplex_rows_of_the_wrong_size_are_named():
     triangle = [(0, 1), (1, 2), (0, 2)]
     assert _raised(lambda: complexes.make_complex(three, [(2, 1, 0), (1, 2)])) == "bad edge (0, 1, 2)"
     assert _raised(lambda: complexes.make_complex(three, triangle, [(1, 0)])) == "bad triangle (0, 1)"
-    for key, rows in (("edges", [[0, 1, 2], [1, 2]]), ("triangles", [[0, 1]])):
-        data = complexes.to_json(complexes.make_complex(three, triangle)) | {key: rows}
-        assert _raised(lambda: complexes.from_json(data)).startswith("malformed complex record")
 
 
 @st.composite

@@ -68,14 +68,15 @@ def test_grow_names_the_first_bad_edge_in_frontier_order(monkeypatch, denominato
 
 def test_grow_rejects_a_round_whose_pb_column_breaks_the_closed_form(monkeypatch):
     # reverse the pb order of the ids grown last from the second round on:
-    # the ids 2..3 no longer read as the pb of two of them each, in order
+    # the round's second half then pairs ids with the wrong edge ends, and
+    # its first such edge has no fresh apex
     def reversed_by_key(items, key=None):
         ordered = builtins.sorted(items, key=key)
         return ordered[::-1] if key is not None and len(ordered) > 2 else ordered
 
     monkeypatch.setattr(farey, "sorted", reversed_by_key, raising=False)
     assert farey._grow(1) == grow_frontier_oracle(1)
-    with pytest.raises(AssertionError, match=r"expected each of ids 2\.\.3 to be pb of two ids grown last"):
+    with pytest.raises(AssertionError, match=r"^expected one new apex on edge 1/1--1/2$"):
         farey._grow(2)
 
 

@@ -20,12 +20,13 @@ def test_parse_and_format_tokens():
     assert goeritz.parse_tokens("") == ()
     assert goeritz.format_tokens(()) == "1"
     assert goeritz.format_tokens(("a", "b")) == "a b"
-    with pytest.raises(ValueError):
-        goeritz.parse_tokens("d q", "1b")
-    with pytest.raises(ValueError):
-        goeritz.parse_tokens("g2", "1b")
-    with pytest.raises(ValueError):
-        goeritz.parse_tokens("d b", "zz")
+    assert goeritz.parse_tokens("d q") == ("d", "q")  # normal_form checks the alphabet
+    with pytest.raises(ValueError, match=r"^token 'q' is not over the case-1b alphabet"):
+        goeritz.normal_form("1b", goeritz.parse_tokens("d q"))
+    with pytest.raises(ValueError, match=r"^token 'g2' is not over the case-1b alphabet"):
+        goeritz.normal_form("1b", goeritz.parse_tokens("g2"))
+    with pytest.raises(ValueError, match=r"^unknown case 'zz'; expected one of"):
+        goeritz.normal_form("zz", goeritz.parse_tokens("d b"))
 
 
 def test_invert_word():
@@ -67,7 +68,6 @@ def test_unknown_case_message():
         goeritz.case_amalgam,
         goeritz.rewrite_system,
         lambda c: goeritz.normal_form(c, ("a",)),
-        lambda c: goeritz.parse_tokens("a", c),
         lambda c: goeritz.element_order(c, ("a",)),
     )
     for call in calls:

@@ -121,7 +121,7 @@ def test_element_order_matches_power_probes(case, data):
     ],
 )
 def test_element_order_examples(case, text, cutoff, order):
-    assert goeritz.element_order(case, goeritz.parse_tokens(text, case), cutoff) == order
+    assert goeritz.element_order(case, goeritz.parse_tokens(text), cutoff) == order
 
 
 def test_element_order_takes_two_rewrites(monkeypatch):

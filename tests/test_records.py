@@ -138,7 +138,6 @@ def _built_complexes():
         "odd": farey.f_odd_subcomplex(ball),
         "induced": complexes.induced(ball, range(0, 32, 3)),
         "make": complexes.make_complex(vertices, [(2, 0)]),
-        "from-json": complexes.from_json(complexes.to_json(ball)),
         "tree": complexes.sp_tree_model(3, 3),
         "graft": complexes.haken_complex_model(3, 3, 3),
         "cone": complexes.sp_cone_model(4),
