@@ -110,10 +110,10 @@ class Complex:
 
 def make_complex(vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]] = (),
                  triangles: Iterable[tuple[int, int, int]] = ()) -> Complex:
-    """Normalize (sort ids inside simplices) and validate."""
-    vs = tuple(sorted(vertices, key=lambda v: v.id))
-    es, ts = (frozenset(tuple(sorted(s)) for s in rows) for rows in (edges, triangles))
-    return Complex(vs, es, ts)
+    """``Complex(...)`` of any rows it accepts, vertex rows sorted by id and the ids
+    inside each simplex sorted."""
+    return Complex(sorted(vertices, key=lambda v: tuple(v)[:1]),
+                   *((tuple(sorted(s)) for s in rows) for rows in (edges, triangles)))
 
 
 def neighbors(c: Complex) -> dict[int, list[int]]:
@@ -127,14 +127,7 @@ def neighbors(c: Complex) -> dict[int, list[int]]:
 def component(c: Complex, start: int) -> list[int]:
     """Vertex ids of the connected component of ``start``, in BFS order
     (neighbors visited in increasing id order)."""
-    return bfs_order(neighbors(c), start)
-
-
-def bfs_order(adj, start: int) -> list[int]:
-    """Vertices reachable from ``start`` in BFS order, visiting each
-    adjacency list in its stored order.  ``adj`` is anything indexable by
-    vertex, such as a dict of neighbor lists or a list of child lists."""
-    seen = {start}
+    adj, seen = neighbors(c), {start}
     order = [start]
     for v in order:  # order grows as it is read: first in, first out
         for w in adj[v]:

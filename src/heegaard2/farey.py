@@ -227,13 +227,14 @@ def odd_subtree(depth: int) -> tuple[list[str], list[tuple[int, int]]]:
     """The odd tree of the depth-``depth`` ball as slope labels in BFS
     order from 1/0 (children by increasing id) and local edges (i, j),
     i < j, between BFS positions, read off the odd-parent column."""
-    from . import complexes
     build = _grow(depth)
     children = [[] for _ in build.nums]
     for c, p in enumerate(_odd_parents(build)[0]):
         if p >= 0:
             children[p].append(c)
-    order = complexes.bfs_order(children, 0)
+    order = [0]
+    for v in order:  # each vertex has one parent, so none is listed twice
+        order += children[v]
     pos = {vid: j for j, vid in enumerate(order)}
     labels = [_label(build.nums[vid], build.dens[vid]) for vid in order]
     return labels, [(pos[a], pos[b]) for a in order for b in children[a]]

@@ -18,8 +18,7 @@ import re
 from math import gcd
 from typing import Iterator, NamedTuple
 
-ALPHABET = "xXyY"
-_DELETE_LETTERS = str.maketrans("", "", ALPHABET)  # leaves only the other letters
+_DELETE_LETTERS = str.maketrans("", "", "xXyY")  # leaves only the other letters
 
 # Translate letters to naturally ordered characters so that plain string
 # comparison realises the order x < X < y < Y.

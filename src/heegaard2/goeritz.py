@@ -84,13 +84,13 @@ def format_tokens(word: Word) -> str:
 
 
 class Presentation(namedtuple("Presentation", "generators relators central")):
-    """Generators, relator words and the generators marked central."""
+    """Generators, relator words and the generators marked central, kept as tuples."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # validates; _replace calls it
 
-    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...],
-                central: tuple[str, ...] = ()):
+    def __new__(cls, generators: Iterable[str], relators: Iterable[Word], central: Iterable[str] = ()):
+        generators, relators, central = tuple(generators), tuple(map(tuple, relators)), tuple(central)
         gens = set(generators)
         for r in relators:
             for tok in r:
@@ -200,10 +200,6 @@ class AmalgamData(NamedTuple):
     edge: Presentation
 
 
-def _free_cancellation(gens: Iterable[str]) -> list[tuple[Word, Word]]:
-    return [r for g in gens for r in (((g, g + "'"), ()), ((g + "'", g), ()))]
-
-
 def amalgam_assemble(data: AmalgamData) -> Presentation:
     """Presentation of the amalgamated free product.  The edge group
     includes into both vertex groups by generator name, so shared names
@@ -247,14 +243,15 @@ def case_amalgam(case: str) -> AmalgamData:
 
 
 class RewriteSystem:
-    """An ordered list of rules (left word -> right word, left never empty);
-    :func:`termination_measure` is the order every shipped rule decreases."""
+    """An ordered list of rules (left word -> right word, left never empty), kept
+    as tuples; :func:`termination_measure` is the order every shipped rule decreases."""
 
     # _index: token -> (left side as a list, reversed right side) of each
     # rule whose left-hand side ends in that token, in rule order
     __slots__ = ("rules", "_index")
 
-    def __init__(self, rules: tuple[tuple[Word, Word], ...]):
+    def __init__(self, rules: Iterable[tuple[Word, Word]]):
+        rules = tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in rules)
         index: dict[str, list[tuple[list[str], Word]]] = {}
         for lhs, rhs in rules:
             if not lhs:
@@ -286,7 +283,7 @@ def _build_rules(p: Presentation) -> RewriteSystem:
     rules: list[tuple[Word, Word]] = [((g + "'",), (g,)) for g in involutions]
     rules += [((g, g), ()) for g in involutions]
     free = [g for g in p.generators if g not in involutions]
-    rules += _free_cancellation(free)
+    rules += [r for g in free for r in (((g, g + "'"), ()), ((g + "'", g), ()))]
     if _HALF_TWIST in p.relators:
         rules += [(("d", tok), ("a", tok, "d")) for tok in ("b", "b'")]
     for i, z in enumerate(p.central):
@@ -296,7 +293,7 @@ def _build_rules(p: Presentation) -> RewriteSystem:
         movers += [tok for g in free if g not in ahead for tok in (g, g + "'")]
         for tok in movers:
             rules += [((tok, y), (y, tok)) for y in letters]
-    return RewriteSystem(tuple(rules))
+    return RewriteSystem(rules)
 
 
 _SYSTEMS = {case: _build_rules(p) for case, p in _GOERITZ.items()}
@@ -341,15 +338,14 @@ def _push(stack: list[str], word: Word, index: dict) -> list[str]:
     return stack
 
 
-def rewrite(word: Word, rules: RewriteSystem | Iterable[tuple[Word, Word]]) -> Word:
+def rewrite(word: Word, rules: RewriteSystem) -> Word:
     """Apply the rules to exhaustion.  Tokens are pushed one at a time onto a
     stack that stays irreducible, so a new redex must end at the token just
     pushed: only rules whose left-hand side ends in it are tried, and a match
     is popped and its right-hand side read next.  A terminating, locally
     confluent system has one normal form that every strategy reaches, so
-    this one returns it.  Raises ValueError on an empty left-hand side."""
-    rs = rules if isinstance(rules, RewriteSystem) else RewriteSystem(tuple(rules))
-    return tuple(_push([], word, rs._index))
+    this one returns it."""
+    return tuple(_push([], word, rules._index))
 
 
 def normal_form(case: str, word: Word) -> Word:

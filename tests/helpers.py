@@ -366,14 +366,15 @@ def rules_oracle(case):
     for its case, with b and t as the free letters and the half twist
     added for case 1b.  The library reads the same rules, in the same
     order, off the case presentation."""
-    from heegaard2.goeritz import _ALPHABETS, _INVOLUTIONS, _free_cancellation
+    from heegaard2.goeritz import _ALPHABETS, _INVOLUTIONS
 
     gens = _ALPHABETS[case]
     involutions = [g for g in gens if g in _INVOLUTIONS]
     rules = [((g + "'",), (g,)) for g in involutions]
     rules += [((g, g), ()) for g in involutions]
     free = [g for g in ("b", "t") if g in gens]
-    rules += _free_cancellation(free)
+    for g in free:
+        rules += [((g, g + "'"), ()), ((g + "'", g), ())]
     if case == "1b":
         rules.append((("d", "b"), ("a", "b", "d")))
         rules.append((("d", "b'"), ("a", "b'", "d")))

@@ -91,6 +91,20 @@ MUTANTS = (
            "                forest = forest and not nums[b] & 1\n",
            "                forest = forest or not nums[b] & 1\n",
            ("tests/test_farey_grow.py::test_each_verdict_fails_on_its_own",)),
+    Mutant("odd-subtree-walks-children-reversed", "farey.py",
+           "        order += children[v]\n",
+           "        order += children[v][::-1]\n",
+           ("tests/test_farey_grow.py::test_odd_graft_tree_matches_oracle",
+            "tests/test_complexes.py::test_haken_single_black_is_the_odd_subtree")),
+    Mutant("rewrite-system-keeps-rules-as-given", "goeritz.py",
+           "        rules = tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in rules)\n",
+           "",
+           ("tests/test_records.py::test_rewrite_system_freezes_its_rules",
+            "tests/test_goeritz_engine.py::test_bare_rule_list_matches_system")),
+    Mutant("make-complex-sorts-by-id-attribute", "complexes.py",
+           "key=lambda v: tuple(v)[:1]",
+           "key=lambda v: v.id",
+           ("tests/test_complexes.py::test_make_complex_is_complex_of_the_normalized_rows",)),
     Mutant("fill-edge-column-b-ends", "complexes.py",
            " and idset.issuperset(ea) and idset.issuperset(eb)):\n",
            " and idset.issuperset(ea)):\n",

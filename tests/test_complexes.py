@@ -83,6 +83,50 @@ def test_make_complex_normalizes():
     assert cpx.edges == frozenset({(0, 1)})
 
 
+@st.composite
+def _any_rows(draw):
+    """Vertex rows with int ids as ``Vertex``, tuple or list, and edge and
+    triangle rows of distinct vertex ids, unsorted, as tuples or lists; ids
+    may repeat, and a few rows of each have the wrong size or a loose id."""
+    ids = st.integers(-1, 6)
+    vertices = []
+    for i in draw(st.lists(ids, max_size=6, unique=draw(st.sampled_from((True, True, False))))):
+        fields = [i, draw(st.sampled_from(complexes.KINDS)), draw(st.sampled_from("ab"))]
+        fields = draw(st.sampled_from([fields] * 40 + [fields[:2], [], fields + ["x"]]))
+        shapes = (tuple, list, lambda row: Vertex(*row)) if len(fields) == 3 else (tuple, list)
+        vertices.append(draw(st.sampled_from(shapes))(fields))
+    ends = sorted({row[0] for row in vertices if row})
+
+    def simplices(size, max_size):
+        rows = []
+        if len(ends) >= size:
+            rows = draw(st.lists(st.lists(st.sampled_from(ends), min_size=size, max_size=size,
+                                          unique=True), max_size=max_size))
+        if draw(st.integers(0, 5)) == 3:  # at times one row of any ids and size
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(ids, max_size=size + 1)))
+        return [draw(st.sampled_from((tuple, list)))(row) for row in rows]
+
+    return vertices, simplices(2, 6), simplices(3, 2)
+
+
+@given(_any_rows())
+@example(([(1, KIND_BLACK, "b"), [0, KIND_WHITE, "w"]], [[1, 0]], []))
+@example(([Vertex(2, KIND_SLOPE, "x"), (1, KIND_SLOPE), [0]], [(1, 0)], []))
+@example(([Vertex(i, KIND_SLOPE, "x") for i in (2, 0, 1)], [(1, 0), [2, 1], (2, 0)], [[2, 0, 1]]))
+def test_make_complex_is_complex_of_the_normalized_rows(rows):
+    """``make_complex`` equals ``Complex(...)`` on the vertex rows sorted by id
+    and each simplex sorted, or raises the same ``ValueError``, and nothing else."""
+    vertices, edges, triangles = rows
+    normalized = (sorted(vertices, key=lambda v: list(v)[:1]),
+                  [tuple(sorted(s)) for s in edges], [tuple(sorted(s)) for s in triangles])
+    message = _raised(lambda: complexes.Complex(*normalized))
+    if message is None:
+        assert complexes.make_complex(*rows) == complexes.Complex(*normalized)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            complexes.make_complex(*rows)
+
+
 def test_sp_tree_star():
     cpx = complexes.sp_tree_model(1, 3)
     assert len(cpx.vertices) == 4

@@ -54,10 +54,11 @@ def test_engine_matches_oracle_on_long_words():
 def test_bare_rule_list_matches_system():
     rng = random.Random(8)
     for case in goeritz.CASES:
-        rules = list(goeritz.rewrite_system(case).rules)
+        rs = goeritz.RewriteSystem([list(map(list, rule)) for rule in goeritz.rewrite_system(case).rules])
+        assert rs == goeritz.rewrite_system(case) and hash(rs) == hash(goeritz.rewrite_system(case))
         for _ in range(100):
             w = goeritz_random_word(rng, case)
-            assert goeritz.rewrite(w, rules) == goeritz.normal_form(case, w)
+            assert goeritz.rewrite(w, rs) == goeritz.normal_form(case, w)
 
 
 def test_element_order_matches_oracle_powers():
@@ -154,7 +155,7 @@ def test_empty_left_hand_side_is_rejected():
     with pytest.raises(ValueError, match=r"rule \(\) -> \('b',\) has an empty"):
         goeritz.RewriteSystem(((("a", "a"), ()), ((), ("b",))))
     with pytest.raises(ValueError, match=r"rule \(\) -> \(\) has an empty"):
-        goeritz.rewrite(("a",), [((), ())])
+        goeritz.RewriteSystem([((), ())])
 
 
 @pytest.mark.parametrize("case", goeritz.CASES)

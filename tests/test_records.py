@@ -9,7 +9,7 @@ from heegaard2 import complexes, farey
 from heegaard2.classify import Lens, S2xS1, SplittingDescriptor
 from heegaard2.complexes import KIND_SLOPE, Complex, Vertex
 from heegaard2.fgroup import PrimitivityVerdict
-from heegaard2.goeritz import Presentation, RewriteSystem
+from heegaard2.goeritz import Presentation, RewriteSystem, check_local_confluence
 from heegaard2.surgery import SplittingParams
 
 
@@ -114,6 +114,18 @@ def test_presentation():
     )
 
 
+def test_presentation_freezes_its_fields():
+    """Fields given as lists or iterators are kept as tuples, each relator a
+    tuple of tokens, that compare and hash as the fields."""
+    frozen = Presentation(("a", "b"), (("a", "a"),), ("a",))
+    from_iterators = Presentation(iter(["a", "b"]), iter([("a", "a")]), iter(["a"]))
+    assert from_iterators == frozen and from_iterators.relators == (("a", "a"),)
+    assert_value_semantics(lambda: Presentation(["a", "b"], [["a", "a"]], ["a"]),
+                           Presentation(("a", "b"), (("a", "a"),)), "central")
+    from_lists = Presentation(["a", "b"], [["a", "a"]], ["a"])
+    assert from_lists == frozen and hash(from_lists) == hash(frozen)
+
+
 def test_complex():
     vs = (Vertex(0, KIND_SLOPE, "0/1"), Vertex(1, KIND_SLOPE, "1/0"))
     es = frozenset({(0, 1)})
@@ -168,3 +180,18 @@ def test_rewrite_system():
         RewriteSystem(rules)._index = {}
     with pytest.raises(ValueError, match=r"^rule \(\) -> \('a',\) has an empty left-hand side$"):
         RewriteSystem((((), ("a",)),))
+
+
+def test_rewrite_system_freezes_its_rules():
+    """Rules given as lists, from an iterator or in a list the caller keeps are
+    kept as a tuple of word pairs that compares, hashes and rewrites as the field."""
+    rules = ((("u", "v"), ("v",)), (("v", "u"), ("u",)))  # diverge on u v u and v u v
+    frozen = RewriteSystem(rules)
+    assert RewriteSystem(iter(rules)) == frozen
+    assert len(check_local_confluence(RewriteSystem(iter(rules)))) == 2
+    given = [[list(lhs), list(rhs)] for lhs, rhs in rules]
+    assert_value_semantics(lambda: RewriteSystem(given), RewriteSystem(rules[:1]), "rules")
+    kept = RewriteSystem(given)
+    assert kept == frozen and hash(kept) == hash(frozen)
+    given.append([["u"], []])
+    assert kept.rules == rules and check_local_confluence(kept) == check_local_confluence(frozen)
