@@ -7,17 +7,18 @@ Two slopes are Farey-adjacent when the determinant n1*d2 - n2*d1 is
 +-1; finite balls of the Farey complex are grown by mediant insertion
 from the base triangles on {1/0, 0/1, 1/1, -1/1}.
 
-A ball is grown as a parent table (``_grow``): int columns ``nums`` and
-``dens`` of the slopes in id order, and the ends ``pa[c - 2] < pb[c - 2]``
-of the edge that vertex c >= 2 was grown on, so its edges are (0, 1),
-(pa, c) and (pb, c) and its triangles (pa, pb, c).  A round grows one
-vertex on each boundary edge and every vertex stays on the boundary, so
-after a round that grew ids H..L-1 (H = L/2) each v < H has two boundary
-edges, both to ids grown last.  In (v, neighbor) order they put L + k on
-the edge from k // 2 to H + k for k < H, and for k >= H to the ids
-H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of two),
-opposite the neighbor's other parent.  No other module reads a build,
-and only ``stern_brocot_ball`` makes a ``Complex`` of one.
+A ball is grown as a parent table (``_grow``) with columns ``ids nums dens
+pa pb``: the ids, one int object each, the slopes n/d in id order, and the
+ends ``pa[c - 2] < pb[c - 2]`` of the edge that vertex c >= 2 was grown on,
+so its edges are (0, 1), (pa, c) and (pb, c) and its triangles (pa, pb, c).
+A round grows one vertex on each boundary edge and every vertex stays on
+the boundary, so after a round that grew ids H..L-1 (H = L/2) each v < H
+has two boundary edges, both to ids grown last.  In (v, neighbor) order
+they put L + k on the edge from k // 2 to H + k for k < H, and for k >= H
+to the ids H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of
+two), opposite the neighbor's other parent.  No other module reads a build;
+only ``stern_brocot_ball`` makes a ``Complex`` of one, and every column of
+it reuses the one int object per id.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -100,7 +101,7 @@ def _mediants(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
     return (an + bn, ad + bd, n, d) if d else (an + bn, ad + bd, 1, 0)
 
 
-_Build = namedtuple("_Build", "nums dens pa pb")
+_Build = namedtuple("_Build", "ids nums dens pa pb")
 
 
 def _grow(depth: int) -> _Build:
@@ -110,7 +111,7 @@ def _grow(depth: int) -> _Build:
     apex: a Farey edge has just two common neighbors, a + b and a - b, so
     a candidate that is not the apex and is adjacent to a and to b is new.
 
-    >>> tuple(_grow(1))  # nums, dens, pa, pb
+    >>> tuple(_grow(1))[1:]  # nums, dens, pa, pb
     ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2], [0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3])
     """
     if depth < 0:
@@ -137,15 +138,13 @@ def _grow(depth: int) -> _Build:
         ids += range(len(ids), len(nums))
         pa += ends_a
         pb += ends_b
-    return _Build(nums, dens, pa, pb)
+    return _Build(ids, nums, dens, pa, pb)
 
 
 def _ball(build: _Build) -> "Complex":
-    """The complex of a build, with labels, on columns that share one int
-    object per id."""
+    """The complex of a build, with labels, on the build's int objects."""
     from .complexes import KIND_SLOPE, Complex  # deferred: --check-tree makes no Complex
-    ids = list(range(len(build.nums)))
-    pa, pb = (list(map(ids.__getitem__, p)) for p in (build.pa, build.pb))
+    ids, pa, pb = build.ids, build.pa, build.pb
     grown = ids[2:]
     labels = list(map(_label, build.nums, build.dens))
     edge_ends = ([ids[0], *pa, *pb], [ids[1], *grown, *grown])

@@ -138,8 +138,7 @@ _GOERITZ = {
     "1b": _presentation("a", "b", "g1", "d"),
     "2": _presentation("a", "b", "g", "s", "t"),
 }
-_ALPHABETS = {case: p.generators for case, p in _GOERITZ.items()}
-_ALLOWED_TOKENS = {c: frozenset(a + invert_word(a)) for c, a in _ALPHABETS.items()}
+_ALLOWED_TOKENS = {c: frozenset(p.generators + invert_word(p.generators)) for c, p in _GOERITZ.items()}
 
 
 def _check_alphabet(word: Word, case: str) -> None:
@@ -148,7 +147,7 @@ def _check_alphabet(word: Word, case: str) -> None:
         if tok not in allowed:
             raise ValueError(
                 f"token {tok!r} is not over the case-{case} alphabet "
-                f"{_ALPHABETS[case]}"
+                f"{_GOERITZ[case].generators}"
             )
 
 

@@ -9,7 +9,7 @@ from collections import deque
 from functools import partial
 from operator import itemgetter
 
-from heegaard2 import cli, complexes, farey, fgroup, surgery
+from heegaard2 import cli, complexes, farey, fgroup
 from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Complex, Vertex
 from heegaard2.goeritz import Presentation
 
@@ -123,15 +123,17 @@ def is_primitive_oracle(word):
 
 
 def surgery_word_oracle(params, i):
-    """``surgery_word`` as first written, verbatim: the word expanded from
-    the gaps in index order, then canonicalized by ``fgroup``."""
-    x_block = "x" * params.p2
-    raw = "".join(x_block + "y" * g for g in surgery.gap_pattern(params, i))
-    return fgroup.cyclic_canonical(raw)
+    """``surgery_word`` from its definition: x^p2 y^g for each circular gap
+    g between the sorted points j*q1 mod p1 (j < i), read from 0, then the
+    least rotation by brute force."""
+    points = sorted(j * params.q1 % params.p1 for j in range(i)) + [params.p1]
+    raw = "".join("x" * params.p2 + "y" * (b - a) for a, b in zip(points, points[1:]))
+    return least_rotation_oracle(raw)
 
 
 # The hand-written cyclic-word scanners that ``fgroup`` replaced by
-# searches in the doubled word, kept verbatim as reference oracles.
+# searches in the doubled word, kept as reference oracles; they reduce and
+# take letter symmetries through the oracles above, not through ``fgroup``.
 _SIGN_CHANGES = tuple(str.maketrans(s, s.swapcase()) for s in ("", "yY", "xX", "xXyY"))
 
 
@@ -164,7 +166,7 @@ def _has_double_square(v: str) -> bool:
 
 def subword_obstruction_oracle(word):
     """``has_subword_obstruction`` by the two index-loop scanners."""
-    w = fgroup.cyclic_reduce(word)
+    w = cyclic_reduce_oracle(word)
     return any(
         _has_flanked_power(v) or _has_double_square(v)
         for v in (u.translate(sign) for u in (w, w[::-1]) for sign in _SIGN_CHANGES)
@@ -173,7 +175,7 @@ def subword_obstruction_oracle(word):
 
 def letter_obstruction_reason_oracle(word):
     """``letter_obstruction_reason`` by the set of n cyclic letter pairs."""
-    w = fgroup.cyclic_reduce(word)
+    w = cyclic_reduce_oracle(word)
     seen = set(w)
     if "x" in seen and "X" in seen:
         return "contains both x and X"
@@ -205,10 +207,10 @@ def _block_form(v: str) -> bool:
 
 def block_form_oracle(word):
     """``has_primitive_block_form`` by the index list and modular gaps."""
-    w = fgroup.cyclic_reduce(word)
+    w = cyclic_reduce_oracle(word)
     if not w:
         return False
-    return any(_block_form(v) for v in fgroup.letter_symmetries(w))
+    return any(_block_form(v) for v in letter_symmetries_oracle(w))
 
 
 def power_root_oracle(word):
@@ -366,9 +368,9 @@ def rules_oracle(case):
     for its case, with b and t as the free letters and the half twist
     added for case 1b.  The library reads the same rules, in the same
     order, off the case presentation."""
-    from heegaard2.goeritz import _ALPHABETS, _INVOLUTIONS
+    from heegaard2.goeritz import _INVOLUTIONS, goeritz_presentation
 
-    gens = _ALPHABETS[case]
+    gens = goeritz_presentation(case).generators
     involutions = [g for g in gens if g in _INVOLUTIONS]
     rules = [((g + "'",), (g,)) for g in involutions]
     rules += [((g, g), ()) for g in involutions]
@@ -442,10 +444,11 @@ def stern_brocot_ball_oracle(depth):
 
 def grow_frontier_oracle(depth):
     """``farey._grow`` as it was before each round read its edges off the
-    parent table, kept verbatim: the frontier lists the boundary edges
-    (a, b, apex) and is sorted every round; a new vertex c on (a, b)
-    replaces its edge by (a, c, b) and (b, c, a).  It reads ``farey``'s
-    base, mediants and label writer at call time, so patches apply."""
+    parent table, kept verbatim but for the id column it now returns: the
+    frontier lists the boundary edges (a, b, apex) and is sorted every
+    round; a new vertex c on (a, b) replaces its edge by (a, c, b) and
+    (b, c, a).  It reads ``farey``'s base, mediants and label writer at
+    call time, so patches apply."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     nums = [s.n for s in farey._BASE]
@@ -471,7 +474,7 @@ def grow_frontier_oracle(depth):
             pb.append(b)
             grown += ((a, c, b), (b, c, a))
         frontier = grown
-    return farey._Build(nums, dens, pa, pb)
+    return farey._Build(list(range(len(nums))), nums, dens, pa, pb)
 
 
 def odd_subcomplex_oracle(c):

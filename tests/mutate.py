@@ -87,6 +87,10 @@ MUTANTS = (
            "        for a, b, x in zip(ends_a, ends_b, apexes):\n",
            "        for a, b, x in reversed(list(zip(ends_a, ends_b, apexes))):\n",
            ("tests/test_farey_grow.py::test_grow_matches_the_frontier_oracle",)),
+    Mutant("ball-remakes-ids", "farey.py",
+           "    ids, pa, pb = build.ids, build.pa, build.pb\n",
+           "    ids, pa, pb = list(range(len(build.nums))), build.pa, build.pb\n",
+           ("tests/test_farey_grow.py::test_ball_columns_share_one_int_object_per_id",)),
     Mutant("odd-parents-forest-flag", "farey.py",
            "                forest = forest and not nums[b] & 1\n",
            "                forest = forest or not nums[b] & 1\n",

@@ -47,6 +47,16 @@ def test_grow_shares_one_int_object_per_id():
     assert len({id(i) for i in ends}) == len(set(ends))
 
 
+def test_ball_columns_share_one_int_object_per_id():
+    # the interpreter shares the ints up to 256 anyway; the depth-8 ball's
+    # ids run to 1023, so its columns share objects only if _ball reuses them
+    ball = farey.stern_brocot_ball(8)
+    objects = {id(i) for i in ball._ids}
+    assert len(objects) == len(ball._ids)
+    for column in (*ball._edge_ends, *ball._triangle_ends):
+        assert objects.issuperset(map(id, column))
+
+
 @pytest.mark.parametrize("denominator", [5, 7, 12])
 def test_grow_names_the_first_bad_edge_in_frontier_order(monkeypatch, denominator):
     # wherever a + b has this denominator, offer a - b twice: 4, 8 and 4
