@@ -16,9 +16,11 @@ the boundary, so after a round that grew ids H..L-1 (H = L/2) each v < H
 has two boundary edges, both to ids grown last.  In (v, neighbor) order
 they put L + k on the edge from k // 2 to H + k for k < H, and for k >= H
 to the ids H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of
-two), opposite the neighbor's other parent.  No other module reads a build;
-only ``stern_brocot_ball`` makes a ``Complex`` of one, and every column of
-it reuses the one int object per id.
+two), opposite the neighbor's other parent.  Rounds only append rows, so
+a process keeps one table, the deepest grown so far, grows each round of
+it once and serves every depth as its prefix.  No other module reads a
+build; only ``stern_brocot_ball`` makes a ``Complex`` of one, and every
+column of it reuses the one int object per id.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -104,21 +106,35 @@ def _mediants(an: int, ad: int, bn: int, bd: int) -> tuple[int, int, int, int]:
 _Build = namedtuple("_Build", "ids nums dens pa pb")
 
 
+# (depth, build) of the deepest ball grown in this process; replaced whole,
+# its columns are never mutated
+_table = 0, _Build(list(range(4)), [s.n for s in _BASE], [s.d for s in _BASE], [0, 0], [1, 1])
+
+
 def _grow(depth: int) -> _Build:
     """Grow the ball by ``depth`` rounds of mediant insertion into the
     parent table of the module docstring (1/1 and -1/1 hang on 1/0 - 0/1),
     checking that each edge grown on has determinant +-1 and one fresh
     apex: a Farey edge has just two common neighbors, a + b and a - b, so
     a candidate that is not the apex and is adjacent to a and to b is new.
+    A shallower ball is a prefix of ``_table``; a deeper one runs the
+    missing rounds on copies of its columns, published once all pass.
 
     >>> tuple(_grow(1))[1:]  # nums, dens, pa, pb
     ([1, 0, 1, -1, 2, -2, 1, -1], [0, 1, 1, 1, 1, 1, 2, 2], [0, 0, 0, 0, 1, 1], [1, 1, 2, 3, 2, 3])
     """
+    global _table
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    nums, dens = [s.n for s in _BASE], [s.d for s in _BASE]
-    ids, pa, pb = list(range(4)), [0, 0], [1, 1]  # one int object per id, shared by pa and pb
-    for _ in range(depth):
+    made, table = _table
+    if depth == made:
+        return table
+    if depth < made:
+        n = 4 << depth
+        ids, nums, dens, pa, pb = table
+        return _Build(ids[:n], nums[:n], dens[:n], pa[:n - 2], pb[:n - 2])
+    ids, nums, dens, pa, pb = map(list, table)  # one int object per id, shared by pa and pb
+    for _ in range(made, depth):
         h = len(ids) // 2
         by_pb = sorted(range(h - 2, len(pb)), key=pb.__getitem__)  # c - 2 for the ids c grown last
         ends_a = sorted(ids[:h] * 2)
@@ -138,7 +154,9 @@ def _grow(depth: int) -> _Build:
         ids += range(len(ids), len(nums))
         pa += ends_a
         pb += ends_b
-    return _Build(ids, nums, dens, pa, pb)
+    table = _Build(ids, nums, dens, pa, pb)
+    _table = depth, table  # one assignment: a race between threads only repeats rounds
+    return table
 
 
 def _ball(build: _Build) -> "Complex":

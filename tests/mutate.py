@@ -87,6 +87,14 @@ MUTANTS = (
            "        for a, b, x in zip(ends_a, ends_b, apexes):\n",
            "        for a, b, x in reversed(list(zip(ends_a, ends_b, apexes))):\n",
            ("tests/test_farey_grow.py::test_grow_matches_the_frontier_oracle",)),
+    Mutant("grow-serves-the-deeper-table", "farey.py",
+           "    if depth == made:\n",
+           "    if depth <= made:\n",
+           ("tests/test_farey_grow.py::test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh",)),
+    Mutant("grow-extends-the-published-columns", "farey.py",
+           "    ids, nums, dens, pa, pb = map(list, table)",
+           "    ids, nums, dens, pa, pb = table",
+           ("tests/test_farey_grow.py::test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh",)),
     Mutant("ball-remakes-ids", "farey.py",
            "    ids, pa, pb = build.ids, build.pa, build.pb\n",
            "    ids, pa, pb = list(range(len(build.nums))), build.pa, build.pb\n",

@@ -4,8 +4,14 @@ against the frontier, rescan and deque oracles in ``helpers`` and the
 labelled odd subcomplex."""
 
 import builtins
+import random
+import sys
+import threading
+from functools import cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heegaard2 import complexes, farey
 
@@ -19,6 +25,19 @@ from helpers import (
     sp_tree_model_oracle,
     stern_brocot_ball_oracle,
 )
+
+
+def _base_table():
+    """A Farey table of the base rows on columns of its own."""
+    base = farey._BASE
+    return 0, farey._Build(list(range(4)), [s.n for s in base], [s.d for s in base], [0, 0], [1, 1])
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """Start the process's Farey table again from its base rows, so that
+    every round the test asks for runs; the table comes back afterwards."""
+    monkeypatch.setattr(farey, "_table", _base_table())
 
 
 @pytest.mark.parametrize("depth", range(15))
@@ -57,6 +76,7 @@ def test_ball_columns_share_one_int_object_per_id():
         assert objects.issuperset(map(id, column))
 
 
+@pytest.mark.usefixtures("fresh_table")
 @pytest.mark.parametrize("denominator", [5, 7, 12])
 def test_grow_names_the_first_bad_edge_in_frontier_order(monkeypatch, denominator):
     # wherever a + b has this denominator, offer a - b twice: 4, 8 and 4
@@ -76,6 +96,7 @@ def test_grow_names_the_first_bad_edge_in_frontier_order(monkeypatch, denominato
     assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.usefixtures("fresh_table")
 def test_grow_rejects_a_round_whose_pb_column_breaks_the_closed_form(monkeypatch):
     # reverse the pb order of the ids grown last from the second round on:
     # the round's second half then pairs ids with the wrong edge ends, and
@@ -88,6 +109,87 @@ def test_grow_rejects_a_round_whose_pb_column_breaks_the_closed_form(monkeypatch
     assert farey._grow(1) == grow_frontier_oracle(1)
     with pytest.raises(AssertionError, match=r"^expected one new apex on edge 1/1--1/2$"):
         farey._grow(2)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_a_failing_round_publishes_nothing(monkeypatch):
+    farey._grow(3)
+    published = farey._table
+    mediants = farey._mediants
+
+    def damage(an, ad, bn, bd):
+        pn, pd, mn, md = mediants(an, ad, bn, bd)
+        return (mn, md, mn, md) if pd == 7 else (pn, pd, mn, md)
+
+    with monkeypatch.context() as damaged:
+        damaged.setattr(farey, "_mediants", damage)
+        with pytest.raises(AssertionError, match="one new apex on edge"):
+            farey._grow(8)
+    assert farey._table is published
+    assert published[0] == 3
+    for depth in range(10):
+        assert farey._grow(depth) == grow_frontier_oracle(depth), depth
+
+
+_oracle_build = cache(grow_frontier_oracle)
+
+
+def _columns(c):
+    return c._ids, c._kinds, c._labels, c._edge_ends, c._triangle_ends
+
+
+@cache
+def _fresh_ball_columns(depth):
+    with pytest.MonkeyPatch.context() as fresh:
+        fresh.setattr(farey, "_table", _base_table())
+        return _columns(farey.stern_brocot_ball(depth))
+
+
+@given(st.lists(st.integers(0, 10), min_size=1, max_size=6))
+def test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh(depths):
+    # the columns of a build or ball stay as they were when later requests
+    # extend the table past it
+    with pytest.MonkeyPatch.context() as fresh:
+        fresh.setattr(farey, "_table", _base_table())
+        served = []
+        for depth in depths:
+            build = farey._grow(depth)
+            assert build == _oracle_build(depth), depth
+            ball = farey.stern_brocot_ball(depth)
+            assert _columns(ball) == _fresh_ball_columns(depth), depth
+            served.append((depth, build, ball))
+    for depth, build, ball in served:
+        assert build == _oracle_build(depth), depth
+        assert _columns(ball) == _fresh_ball_columns(depth), depth
+
+
+def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
+    # four threads share one table from its base rows; a short switch
+    # interval makes them interleave within rounds
+    depths = range(11)
+    grown = [[] for _ in range(4)]
+
+    def work(k):
+        order = random.Random(k).sample(depths, len(depths))
+        grown[k] += ((depth, farey._grow(depth)) for depth in order)
+
+    interval = sys.getswitchinterval()
+    for _ in range(3):
+        monkeypatch.setattr(farey, "_table", _base_table())
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    for served in grown:
+        assert sorted(depth for depth, _ in served) == sorted(list(depths) * 3)
+        for depth, build in served:
+            assert build == _oracle_build(depth), depth
 
 
 @pytest.mark.parametrize("depth", range(11))
@@ -204,6 +306,7 @@ def test_reach_rejects_negative_depth():
         farey.odd_tree_check(-1)
 
 
+@pytest.mark.usefixtures("fresh_table")
 @pytest.mark.parametrize(
     "wrong, collapsed",
     [
@@ -235,6 +338,7 @@ def test_grow_rejects_an_edge_that_is_not_adjacent(monkeypatch):
     # offers 2/2 as its one new apex, so only the adjacency check fails
     base = (farey.Slope(1, 0), farey.Slope(0, 2), farey.Slope(1, 2), farey.Slope(-1, 2))
     monkeypatch.setattr(farey, "_BASE", base)
+    monkeypatch.setattr(farey, "_table", _base_table())
     farey.stern_brocot_ball(0)
     with pytest.raises(AssertionError, match="one new apex on edge 1/0-1/2"):
         farey.stern_brocot_ball(1)
