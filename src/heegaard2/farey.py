@@ -18,9 +18,11 @@ they put L + k on the edge from k // 2 to H + k for k < H, and for k >= H
 to the ids H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of
 two), opposite the neighbor's other parent.  Rounds only append rows, so
 a process keeps one table, the deepest grown so far, grows each round of
-it once and serves every depth as its prefix.  No other module reads a
-build; only ``stern_brocot_ball`` makes a ``Complex`` of one, and every
-column of it reuses the one int object per id.
+it once and serves every depth as its prefix; its labels, each formatted
+once when a ball first needs it, are kept the same way.  No other module
+reads a build; only ``stern_brocot_ball`` makes a ``Complex`` of one, on
+the one int object per id, and the ball keeps its ``nums`` so that
+``f_odd_subcomplex`` reads parity off the slopes.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -31,7 +33,9 @@ column, and ``odd_subtree`` lists its tree breadth-first for the graft.
 
 import re
 from collections import namedtuple
+from itertools import compress, islice, repeat
 from math import gcd
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 _label = "{}/{}".format
@@ -159,14 +163,29 @@ def _grow(depth: int) -> _Build:
     return table
 
 
+# labels of _table's first rows, each formatted once; replaced whole, never mutated
+_labels: list[str] = []
+
+
 def _ball(build: _Build) -> "Complex":
-    """The complex of a build, with labels, on the build's int objects."""
+    """The complex of a build on its int objects, keeping ``nums`` (no field) for
+    ``f_odd_subcomplex``.  A prefix of ``_table`` takes a prefix of ``_labels``,
+    grown from the table if short; any other build formats labels of its own."""
+    global _labels
     from .complexes import KIND_SLOPE, Complex  # deferred: --check-tree makes no Complex
-    ids, pa, pb = build.ids, build.pa, build.pb
+    ids, nums, dens, pa, pb = build
+    n, table, labels = len(nums), _table[1], _labels
+    t_nums, t_dens = (table.nums, table.dens) if len(table.nums) == n else (table.nums[:n], table.dens[:n])
+    if t_nums != nums or t_dens != dens:
+        labels = list(map(_label, nums, dens))
+    elif (k := len(labels)) < n:
+        _labels = labels = [*labels, *map(_label, islice(t_nums, k, n), islice(t_dens, k, n))]
+    labels = labels[:n] if len(labels) > n else labels
     grown = ids[2:]
-    labels = list(map(_label, build.nums, build.dens))
     edge_ends = ([ids[0], *pa, *pb], [ids[1], *grown, *grown])
-    return Complex._of(ids, [KIND_SLOPE] * len(ids), labels, edge_ends, (pa, pb, grown))
+    ball = object.__new__(Complex)
+    vars(ball)["_nums"] = nums  # set first: set after _fill, it raised the depth-16 peak RSS 0.8 MiB
+    return ball._fill(ids, [KIND_SLOPE] * n, labels, edge_ends, (pa, pb, grown))
 
 
 def stern_brocot_ball(depth: int) -> "Complex":
@@ -185,10 +204,24 @@ def stern_brocot_ball(depth: int) -> "Complex":
 
 
 def f_odd_subcomplex(c: "Complex") -> "Complex":
-    """Full subcomplex on the odd-numerator vertices.  Every vertex must
-    have kind slope and a label n/d of ASCII decimal integers; parity is
-    the last digit before the ``/``."""
+    """Full subcomplex on the odd-numerator vertices.  A ball reads parity off its
+    slopes and is cut by position (its ids are its positions); any other complex
+    needs slope vertices labelled n/d in ASCII decimal digits, and parity is the
+    last digit before the ``/``."""
     from . import complexes
+    if (nums := vars(c).get("_nums")) is not None:
+        # a ball: ids are positions, triangles (pa, pb, c) run c = 2, 3, ..., and the
+        # edges are (0, 1), then each triangle's (pa, c), then its (pb, c)
+        odd, size = bytes(map(and_, nums, repeat(1))), len(nums) - 2
+        c_odd = int.from_bytes(odd[2:], "little")  # byte k: triangle k's c is odd
+        # byte k: triangle k's edge (pa, c), or (pb, c), is odd; padded, as one index gives no tuple
+        a_odd, b_odd = (c_odd & int.from_bytes(bytes(itemgetter(0, 0, *ends)(odd)[2:]), "little")
+                        for ends in c._triangle_ends[:2])
+        edge_rows = bytes([odd[0] & odd[1]]) + a_odd.to_bytes(size, "little") + b_odd.to_bytes(size, "little")
+        rows = odd, edge_rows, (a_odd & b_odd).to_bytes(size, "little")
+        cuts = [[list(compress(column, mask)) for column in group] for group, mask in
+                zip(((c._ids, c._kinds, c._labels), c._edge_ends, c._triangle_ends), rows)]
+        return complexes.Complex._of(*cuts[0], *cuts[1:])
     ids, kinds, labels, slope = c._ids, c._kinds, c._labels, complexes.KIND_SLOPE
     if set(kinds) - {slope}:
         j = next(j for j, kind in enumerate(kinds) if kind != slope)

@@ -19,8 +19,8 @@ prints as "1".
 Normal forms push the central letters to the front, kill involution
 squares and free cancellations, and (in case 1b) move d past b at the
 cost of an a; each rule family is read off the case presentation.  The
-rule sets terminate (each rule lowers the measure returned by
-:func:`termination_measure`) and are locally confluent
+rule sets terminate (each rule lowers a well-founded measure: the test
+``test_rewrite_steps_decrease_measure``) and are locally confluent
 (:func:`check_local_confluence` returns no critical pairs), so normal
 forms are unique and word equality is decidable.
 
@@ -243,7 +243,8 @@ def case_amalgam(case: str) -> AmalgamData:
 
 class RewriteSystem:
     """An ordered list of rules (left word -> right word, left never empty), kept
-    as tuples; :func:`termination_measure` is the order every shipped rule decreases."""
+    as tuples; every shipped rule decreases the measure that
+    ``tests/test_goeritz.py::test_rewrite_steps_decrease_measure`` checks."""
 
     # _index: token -> (left side as a list, reversed right side) of each
     # rule whose left-hand side ends in that token, in rule order
@@ -301,26 +302,6 @@ _SYSTEMS = {case: _build_rules(p) for case, p in _GOERITZ.items()}
 def rewrite_system(case: str) -> RewriteSystem:
     """The shipped confluent rewriting system for the case."""
     return _lookup(_SYSTEMS, case)
-
-
-def termination_measure(word: Word) -> tuple[int, int, int, int, int]:
-    """The well-founded measure that every rule application decreases:
-    (number of d-before-b pairs, length, number of primed tokens, sum of
-    positions of a letters, sum of positions of t letters)."""
-    inversions = ds = primes = a_pos = t_pos = 0
-    for i, tok in enumerate(word):
-        base = _base(tok)
-        if tok.endswith("'"):
-            primes += 1
-        if base == "d":
-            ds += 1
-        elif base == "b":
-            inversions += ds
-        elif base == "a":
-            a_pos += i
-        elif base == "t":
-            t_pos += i
-    return (inversions, len(word), primes, a_pos, t_pos)
 
 
 def _push(stack: list[str], word: Word, index: dict) -> list[str]:

@@ -323,6 +323,27 @@ def goeritz_insertion_words(case):
     return words
 
 
+def termination_measure(word):
+    """The well-founded measure that every rule application of the shipped
+    Goeritz systems decreases: (number of d-before-b pairs, length, number
+    of primed tokens, sum of positions of a letters, sum of positions of t
+    letters)."""
+    inversions = ds = primes = a_pos = t_pos = 0
+    for i, tok in enumerate(word):
+        base = tok[:-1] if tok.endswith("'") else tok
+        if tok.endswith("'"):
+            primes += 1
+        if base == "d":
+            ds += 1
+        elif base == "b":
+            inversions += ds
+        elif base == "a":
+            a_pos += i
+        elif base == "t":
+            t_pos += i
+    return (inversions, len(word), primes, a_pos, t_pos)
+
+
 def rewrite_oracle(word, rules):
     """Plain rule rewriting: scan left to right, try every rule at each
     position, splice the first match in and back up.  The library's stack

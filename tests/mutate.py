@@ -96,9 +96,21 @@ MUTANTS = (
            "    ids, nums, dens, pa, pb = table",
            ("tests/test_farey_grow.py::test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh",)),
     Mutant("ball-remakes-ids", "farey.py",
-           "    ids, pa, pb = build.ids, build.pa, build.pb\n",
-           "    ids, pa, pb = list(range(len(build.nums))), build.pa, build.pb\n",
+           "    ids, nums, dens, pa, pb = build\n",
+           "    ids, nums, dens, pa, pb = build\n    ids = list(range(len(nums)))\n",
            ("tests/test_farey_grow.py::test_ball_columns_share_one_int_object_per_id",)),
+    Mutant("ball-labels-grown-from-the-build", "farey.py",
+           "    if t_nums != nums or t_dens != dens:\n"
+           "        labels = list(map(_label, nums, dens))\n"
+           "    elif (k := len(labels)) < n:\n"
+           "        _labels = labels = [*labels, *map(_label, islice(t_nums, k, n), islice(t_dens, k, n))]\n",
+           "    if (k := len(labels)) < n:\n"
+           "        _labels = labels = [*labels, *map(_label, islice(nums, k, n), islice(dens, k, n))]\n",
+           ("tests/test_farey_grow.py::test_a_damaged_build_leaves_the_label_column_as_it_was",)),
+    Mutant("odd-cut-drops-the-triangles", "farey.py",
+           "rows = odd, edge_rows, (a_odd & b_odd).to_bytes(size, \"little\")",
+           "rows = odd, edge_rows, bytes(size)",
+           ("tests/test_farey_grow.py::test_odd_subcomplex_of_a_damaged_ball_matches_the_label_oracle",)),
     Mutant("odd-parents-forest-flag", "farey.py",
            "                forest = forest and not nums[b] & 1\n",
            "                forest = forest or not nums[b] & 1\n",

@@ -17,6 +17,7 @@ from heegaard2 import complexes, farey
 
 from helpers import (
     cut_build,
+    f_odd_subcomplex_oracle,
     grow_frontier_oracle,
     odd_graft_tree_oracle,
     odd_subcomplex_oracle,
@@ -27,17 +28,21 @@ from helpers import (
 )
 
 
-def _base_table():
-    """A Farey table of the base rows on columns of its own."""
+def _base_table(patch):
+    """Through ``patch``, start the process's Farey table again from the base
+    rows, on columns of its own, and its label column again from nothing."""
     base = farey._BASE
-    return 0, farey._Build(list(range(4)), [s.n for s in base], [s.d for s in base], [0, 0], [1, 1])
+    rows = farey._Build(list(range(4)), [s.n for s in base], [s.d for s in base], [0, 0], [1, 1])
+    patch.setattr(farey, "_table", (0, rows))
+    patch.setattr(farey, "_labels", [])
 
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """Start the process's Farey table again from its base rows, so that
-    every round the test asks for runs; the table comes back afterwards."""
-    monkeypatch.setattr(farey, "_table", _base_table())
+    """Start the process's Farey table and label column again from the base
+    rows, so that every round and label the test asks for is made; both come
+    back afterwards."""
+    _base_table(monkeypatch)
 
 
 @pytest.mark.parametrize("depth", range(15))
@@ -134,6 +139,12 @@ def test_a_failing_round_publishes_nothing(monkeypatch):
 _oracle_build = cache(grow_frontier_oracle)
 
 
+@cache
+def _oracle_labels(depth):
+    build = _oracle_build(depth)
+    return [str(farey.Slope(n, d)) for n, d in zip(build.nums, build.dens)]
+
+
 def _columns(c):
     return c._ids, c._kinds, c._labels, c._edge_ends, c._triangle_ends
 
@@ -141,41 +152,46 @@ def _columns(c):
 @cache
 def _fresh_ball_columns(depth):
     with pytest.MonkeyPatch.context() as fresh:
-        fresh.setattr(farey, "_table", _base_table())
+        _base_table(fresh)
         return _columns(farey.stern_brocot_ball(depth))
 
 
 @given(st.lists(st.integers(0, 10), min_size=1, max_size=6))
 def test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh(depths):
     # the columns of a build or ball stay as they were when later requests
-    # extend the table past it
+    # extend the table or the label column past it, and every label column
+    # is a prefix of the oracle's labels
     with pytest.MonkeyPatch.context() as fresh:
-        fresh.setattr(farey, "_table", _base_table())
+        _base_table(fresh)
         served = []
         for depth in depths:
             build = farey._grow(depth)
             assert build == _oracle_build(depth), depth
             ball = farey.stern_brocot_ball(depth)
             assert _columns(ball) == _fresh_ball_columns(depth), depth
+            assert ball._labels == _oracle_labels(depth), depth
+            assert farey._labels == _oracle_labels(10)[: len(farey._labels)], depth
             served.append((depth, build, ball))
     for depth, build, ball in served:
         assert build == _oracle_build(depth), depth
         assert _columns(ball) == _fresh_ball_columns(depth), depth
+        assert ball._labels == _oracle_labels(depth), depth
 
 
 def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
-    # four threads share one table from its base rows; a short switch
-    # interval makes them interleave within rounds
+    # four threads share one table and label column from the base rows; a
+    # short switch interval makes them interleave within rounds
     depths = range(11)
     grown = [[] for _ in range(4)]
 
     def work(k):
         order = random.Random(k).sample(depths, len(depths))
-        grown[k] += ((depth, farey._grow(depth)) for depth in order)
+        grown[k] += ((depth, farey._grow(depth), farey.stern_brocot_ball(depth)._labels)
+                     for depth in order)
 
     interval = sys.getswitchinterval()
     for _ in range(3):
-        monkeypatch.setattr(farey, "_table", _base_table())
+        _base_table(monkeypatch)
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         sys.setswitchinterval(1e-5)
         try:
@@ -186,10 +202,80 @@ def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
+        assert farey._labels == _oracle_labels(10)[: len(farey._labels)]
     for served in grown:
-        assert sorted(depth for depth, _ in served) == sorted(list(depths) * 3)
-        for depth, build in served:
+        assert sorted(depth for depth, _, _ in served) == sorted(list(depths) * 3)
+        for depth, build, labels in served:
             assert build == _oracle_build(depth), depth
+            assert labels == _oracle_labels(depth), depth
+
+
+def _shift_nums_past(build, row):
+    """The build with the numerator of ``row`` moved to the last row."""
+    nums = build.nums[:row] + build.nums[row + 1 :] + build.nums[row : row + 1]
+    return build._replace(nums=nums)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_a_damaged_build_leaves_the_label_column_as_it_was():
+    # a build deeper than the label column, its numerators shifted past row
+    # 5, is no prefix of the table: it formats labels of its own, and the
+    # balls made afterwards still read the labels of the table's slopes
+    farey.stern_brocot_ball(1)
+    column = farey._labels
+    damaged = _shift_nums_past(farey._grow(4), 5)
+    ball = farey._ball(damaged)
+    assert ball._labels == [str(farey.Slope(n, d)) for n, d in zip(damaged.nums, damaged.dens)]
+    assert farey._labels is column
+    assert farey.stern_brocot_ball(3)._labels == _oracle_labels(3)
+    assert farey._labels == _oracle_labels(3)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_only_making_a_ball_grows_the_label_column():
+    farey.odd_tree_check(8)
+    farey.odd_subtree(8)
+    complexes.haken_complex_model(3, 2, 8)
+    assert farey._labels == []
+    farey.stern_brocot_ball(2)
+    assert farey._labels == _oracle_labels(2)
+
+
+def _refuse(*args):
+    raise AssertionError("cut a ball by its labels")
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_odd_subcomplex_of_a_ball_reads_parity_off_its_slopes(monkeypatch):
+    # balls as first made, then as prefixes served after a deeper build;
+    # neither the label grammar nor the id-set cut of induced is read
+    monkeypatch.setattr(farey, "_SLOPE", None)
+    monkeypatch.setattr(complexes, "induced", _refuse)
+    for depth in [*range(11), *range(10, -1, -1)]:
+        ball = farey.stern_brocot_ball(depth)
+        odd, oracle = farey.f_odd_subcomplex(ball), f_odd_subcomplex_oracle(ball)
+        assert odd == oracle, depth
+        assert complexes.to_json(odd) == complexes.to_json(oracle), depth
+
+
+@pytest.mark.parametrize(
+    "depth, damage",
+    [
+        (1, lambda build: rehang_build(build, 6, 0, 2)),
+        (3, lambda build: rehang_build(build, 21, 0, 2)),
+        (4, lambda build: _shift_nums_past(build, 5)),
+        (6, lambda build: _shift_nums_past(build, 40)),
+    ],
+    ids=["rehung-1", "rehung-3", "shifted-4", "shifted-6"],
+)
+def test_odd_subcomplex_of_a_damaged_ball_matches_the_label_oracle(depth, damage):
+    # 1/2 or 3/4 hung on the odd edge 1/0 - 1/1 spans an odd triangle, and
+    # shifted numerators leave odd edges and triangles all over the ball
+    ball = farey._ball(damage(farey._grow(depth)))
+    odd, oracle = farey.f_odd_subcomplex(ball), f_odd_subcomplex_oracle(ball)
+    assert odd == oracle
+    assert complexes.to_json(odd) == complexes.to_json(oracle)
+    assert not complexes.is_forest(odd)
 
 
 @pytest.mark.parametrize("depth", range(11))
@@ -338,7 +424,7 @@ def test_grow_rejects_an_edge_that_is_not_adjacent(monkeypatch):
     # offers 2/2 as its one new apex, so only the adjacency check fails
     base = (farey.Slope(1, 0), farey.Slope(0, 2), farey.Slope(1, 2), farey.Slope(-1, 2))
     monkeypatch.setattr(farey, "_BASE", base)
-    monkeypatch.setattr(farey, "_table", _base_table())
+    _base_table(monkeypatch)
     farey.stern_brocot_ball(0)
     with pytest.raises(AssertionError, match="one new apex on edge 1/0-1/2"):
         farey.stern_brocot_ball(1)

@@ -10,7 +10,7 @@ from heegaard2 import goeritz
 from helpers import GOERITZ_REFERENCE, STABILIZER_REFERENCE
 from helpers import goeritz_insertion_words as insertion_words
 from helpers import goeritz_random_word as random_word
-from helpers import rules_oracle
+from helpers import rules_oracle, termination_measure
 
 
 def test_parse_and_format_tokens():
@@ -279,12 +279,12 @@ def test_rewrite_steps_decrease_measure():
         rules = goeritz.rewrite_system(case).rules
         for _ in range(200):
             w = random_word(rng, case, max_len=16)
-            before = goeritz.termination_measure(w)
+            before = termination_measure(w)
             for lhs, rhs in rules:
                 k = len(lhs)
                 for i in range(len(w) - k + 1):
                     if w[i : i + k] == lhs:
-                        after = goeritz.termination_measure(w[:i] + rhs + w[i + k :])
+                        after = termination_measure(w[:i] + rhs + w[i + k :])
                         assert after < before
 
 
