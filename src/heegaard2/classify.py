@@ -77,9 +77,7 @@ def genus_one_reversible(summand: Summand) -> bool:
     """Whether the summand's genus-one splitting admits a side-swapping
     orientation-preserving homeomorphism: true for S^2 x S^1, and for
     L(p, q) exactly when q^2 = 1 (mod p)."""
-    if isinstance(summand, S2xS1):
-        return True
-    return summand.q * summand.q % summand.p == 1
+    return isinstance(summand, S2xS1) or summand.q * summand.q % summand.p == 1
 
 
 def surface_count(m1: Summand, m2: Summand) -> int:
@@ -116,10 +114,6 @@ def splittings(m1: Summand, m2: Summand) -> list[SplittingDescriptor]:
     pair = (m1, m2)
     if isinstance(m1, S2xS1) or isinstance(m2, S2xS1):
         return [SplittingDescriptor("2", False, pair)]
-    count = surface_count(m1, m2)
-    if oriented_lens_homeomorphic(m1, m2):
-        out = [SplittingDescriptor("1b", True, pair)]
-        if count == 2:
-            out.append(SplittingDescriptor("1a", False, pair))
-        return out
-    return [SplittingDescriptor("1a", False, pair) for _ in range(count)]
+    symmetric = oriented_lens_homeomorphic(m1, m2)
+    cases = ["1b"] * symmetric + ["1a"] * (surface_count(m1, m2) - symmetric)
+    return [SplittingDescriptor(case, case == "1b", pair) for case in cases]

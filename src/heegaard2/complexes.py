@@ -32,11 +32,10 @@ class Vertex(NamedTuple):
     label: str
 
 
-def _frozenset(columns) -> frozenset:
-    """The rows of equally long columns.  A union of two sets sizes its table
+def _frozenset(rows, count: int) -> frozenset:
+    """The ``count`` rows of an iterator.  A union of two sets sizes its table
     once; a set grown one row at a time ends up to twice as large."""
-    rows = zip(*columns)
-    return frozenset(islice(rows, len(columns[0]) // 2)) | frozenset(rows)
+    return frozenset(islice(rows, count // 2)) | frozenset(rows)
 
 
 _fields_of = attrgetter("vertices", "edges", "triangles")
@@ -75,6 +74,7 @@ class Complex:
             for a, b in zip(ea, eb):
                 if not (a < b) or a not in idset or b not in idset:
                     raise ValueError(f"bad edge ({a}, {b})")
+        del idset  # before the edge set is built below, which lowers the peak memory
         # edges are ordered, so a triangle whose three edges are edges is
         # ordered too; only a failure pays for the loop naming the first one
         ta, tb, tc = triangle_ends
@@ -92,8 +92,8 @@ class Complex:
 
     vertices = cached_property(
         lambda c: tuple(map(tuple.__new__, repeat(Vertex), zip(c._ids, c._kinds, c._labels))))
-    edges = cached_property(lambda c: _frozenset(c._edge_ends))
-    triangles = cached_property(lambda c: _frozenset(c._triangle_ends))
+    edges = cached_property(lambda c: _frozenset(zip(*c._edge_ends), len(c._edge_ends[0])))
+    triangles = cached_property(lambda c: _frozenset(zip(*c._triangle_ends), len(c._triangle_ends[0])))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,6 +106,15 @@ class Complex:
 
     def __repr__(self) -> str:
         return "Complex(vertices={!r}, edges={!r}, triangles={!r})".format(*_fields_of(self))
+
+
+class _Served(Complex):
+    """A complex whose rows are made once elsewhere and shared: ``_rows(field)`` gives
+    its vertex rows as a tuple, and its edge or triangle rows as an iterator and a count."""
+
+    vertices = cached_property(lambda c: c._rows("vertices"))
+    edges = cached_property(lambda c: _frozenset(*c._rows("edges")))
+    triangles = cached_property(lambda c: _frozenset(*c._rows("triangles")))
 
 
 def make_complex(vertices: Iterable[Vertex], edges: Iterable[tuple[int, int]] = (),
@@ -182,8 +191,8 @@ def to_json(c: Complex) -> dict:
     return {
         "vertices": [{"id": i, "kind": kind, "label": label}
                      for i, kind, label in zip(c._ids, c._kinds, c._labels)],
-        "edges": [list(e) for e in sorted(zip(*c._edge_ends))],
-        "triangles": [list(t) for t in sorted(zip(*c._triangle_ends))],
+        "edges": sorted(map(list, zip(*c._edge_ends))),
+        "triangles": sorted(map(list, zip(*c._triangle_ends))),
     }
 
 

@@ -18,11 +18,12 @@ they put L + k on the edge from k // 2 to H + k for k < H, and for k >= H
 to the ids H..L-1 ordered stably by pb (each v in [H/2, H) is the pb of
 two), opposite the neighbor's other parent.  Rounds only append rows, so
 a process keeps one table, the deepest grown so far, grows each round of
-it once and serves every depth as its prefix; its labels, each formatted
-once when a ball first needs it, are kept the same way.  No other module
-reads a build; only ``stern_brocot_ball`` makes a ``Complex`` of one, on
-the one int object per id, and the ball keeps its ``nums`` so that
-``f_odd_subcomplex`` reads parity off the slopes.
+it once and serves every depth as its prefix.  A ball on such a prefix is
+served from a row store kept the same way: its labels, ``Vertex`` rows and
+edge and triangle rows, each made once per process when a ball first reads
+it.  No other module reads a build; only ``stern_brocot_ball`` makes a
+``Complex`` of one, on the one int object per id, and a served ball keeps
+its ``nums`` so that ``f_odd_subcomplex`` reads parity off the slopes.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -33,7 +34,8 @@ column, and ``odd_subtree`` lists its tree breadth-first for the graft.
 
 import re
 from collections import namedtuple
-from itertools import compress, islice, repeat
+from functools import partial
+from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import and_, itemgetter
 from typing import NamedTuple
@@ -115,6 +117,12 @@ _Build = namedtuple("_Build", "ids nums dens pa pb")
 _table = 0, _Build(list(range(4)), [s.n for s in _BASE], [s.d for s in _BASE], [0, 0], [1, 1])
 
 
+def _prefix(build: _Build, n: int) -> _Build:
+    """The build's first n vertices, on fresh copies of its columns."""
+    ids, nums, dens, pa, pb = build
+    return _Build(ids[:n], nums[:n], dens[:n], pa[:n - 2], pb[:n - 2])
+
+
 def _grow(depth: int) -> _Build:
     """Grow the ball by ``depth`` rounds of mediant insertion into the
     parent table of the module docstring (1/1 and -1/1 hang on 1/0 - 0/1),
@@ -134,9 +142,7 @@ def _grow(depth: int) -> _Build:
     if depth == made:
         return table
     if depth < made:
-        n = 4 << depth
-        ids, nums, dens, pa, pb = table
-        return _Build(ids[:n], nums[:n], dens[:n], pa[:n - 2], pb[:n - 2])
+        return _prefix(table, 4 << depth)
     ids, nums, dens, pa, pb = map(list, table)  # one int object per id, shared by pa and pb
     for _ in range(made, depth):
         h = len(ids) // 2
@@ -163,29 +169,58 @@ def _grow(depth: int) -> _Build:
     return table
 
 
-# labels of _table's first rows, each formatted once; replaced whole, never mutated
-_labels: list[str] = []
+def _vertex_rows(t: _Build, k: int, n: int):
+    from .complexes import KIND_SLOPE, Vertex
+    return map(tuple.__new__, repeat(Vertex), zip(t.ids[k:n], repeat(KIND_SLOPE), _stored("labels", n, t)[k:n]))
+
+
+# Rows of _table made once per process, when a ball first reads them, fed only from
+# builds that are prefixes of _table; each column is replaced whole, never mutated.
+# _MAKERS[name](t, k, n) gives rows k..n-1 of a column from the build t: the label or
+# Vertex row of vertex k..n-1, or the edge (pa, c) or (pb, c) or triangle (pa, pb, c)
+# of vertex c = k+2..n+1.
+_MAKERS = {
+    "labels": lambda t, k, n: map(_label, islice(t.nums, k, n), islice(t.dens, k, n)),
+    "vertices": _vertex_rows,
+    "pa": lambda t, k, n: zip(islice(t.pa, k, n), islice(t.ids, k + 2, None)),
+    "pb": lambda t, k, n: zip(islice(t.pb, k, n), islice(t.ids, k + 2, None)),
+    "triangles": lambda t, k, n: zip(islice(t.pa, k, n), islice(t.pb, k, n), islice(t.ids, k + 2, None)),
+}
+_store = dict.fromkeys(_MAKERS, ())
+
+
+def _stored(name: str, n: int, build: _Build) -> tuple:
+    """Column ``name`` of ``_store``, grown to n rows from ``build`` if short."""
+    if (k := len(column := _store[name])) < n:
+        _store[name] = column = column + tuple(_MAKERS[name](build, k, n))
+    return column
+
+
+def _rows(build: _Build, field: str):
+    """Field ``field`` of the served ball of ``build``, from ``_store``: its vertex
+    rows, or its edge or triangle rows and their count."""
+    if field == "vertices":
+        return _stored("vertices", n := len(build.nums), build)[:n]
+    m = len(build.pa)
+    if field == "edges":  # (0, 1), then the grown vertices' (pa, c), then their (pb, c)
+        return chain([(0, 1)], *(islice(_stored(end, m, build), m) for end in ("pa", "pb"))), 2 * m + 1
+    return islice(_stored("triangles", m, build), m), m
 
 
 def _ball(build: _Build) -> "Complex":
-    """The complex of a build on its int objects, keeping ``nums`` (no field) for
-    ``f_odd_subcomplex``.  A prefix of ``_table`` takes a prefix of ``_labels``,
-    grown from the table if short; any other build formats labels of its own."""
-    global _labels
-    from .complexes import KIND_SLOPE, Complex  # deferred: --check-tree makes no Complex
+    """The complex of a build on its int objects.  A prefix of ``_table`` is served: its
+    labels and, when first read, its fields come from ``_store``, grown from the build
+    (a thread may have published a shallower table since), and it keeps ``nums`` (no
+    field) for ``f_odd_subcomplex``.  Any other build formats labels of its own."""
+    from .complexes import KIND_SLOPE, Complex, _Served  # deferred: --check-tree makes no Complex
     ids, nums, dens, pa, pb = build
-    n, table, labels = len(nums), _table[1], _labels
-    t_nums, t_dens = (table.nums, table.dens) if len(table.nums) == n else (table.nums[:n], table.dens[:n])
-    if t_nums != nums or t_dens != dens:
-        labels = list(map(_label, nums, dens))
-    elif (k := len(labels)) < n:
-        _labels = labels = [*labels, *map(_label, islice(t_nums, k, n), islice(t_dens, k, n))]
-    labels = labels[:n] if len(labels) > n else labels
-    grown = ids[2:]
-    edge_ends = ([ids[0], *pa, *pb], [ids[1], *grown, *grown])
-    ball = object.__new__(Complex)
-    vars(ball)["_nums"] = nums  # set first: set after _fill, it raised the depth-16 peak RSS 0.8 MiB
-    return ball._fill(ids, [KIND_SLOPE] * n, labels, edge_ends, (pa, pb, grown))
+    n, table, grown = len(nums), _table[1], ids[2:]
+    kinds, edge_ends = [KIND_SLOPE] * n, ([ids[0], *pa, *pb], [ids[1], *grown, *grown])
+    if build != (table if len(table.nums) == n else _prefix(table, n)):
+        return Complex._of(ids, kinds, list(map(_label, nums, dens)), edge_ends, (pa, pb, grown))
+    ball = object.__new__(_Served)
+    vars(ball).update(_nums=nums, _rows=partial(_rows, build))  # before _fill, which reads the edges
+    return ball._fill(ids, kinds, _stored("labels", n, build)[:n], edge_ends, (pa, pb, grown))
 
 
 def stern_brocot_ball(depth: int) -> "Complex":
@@ -204,24 +239,23 @@ def stern_brocot_ball(depth: int) -> "Complex":
 
 
 def f_odd_subcomplex(c: "Complex") -> "Complex":
-    """Full subcomplex on the odd-numerator vertices.  A ball reads parity off its
-    slopes and is cut by position (its ids are its positions); any other complex
+    """Full subcomplex on the odd-numerator vertices.  A served ball reads parity off
+    its slopes and is cut by position (its ids are its positions); any other complex
     needs slope vertices labelled n/d in ASCII decimal digits, and parity is the
     last digit before the ``/``."""
     from . import complexes
     if (nums := vars(c).get("_nums")) is not None:
-        # a ball: ids are positions, triangles (pa, pb, c) run c = 2, 3, ..., and the
-        # edges are (0, 1), then each triangle's (pa, c), then its (pb, c)
+        # a served ball: ids are positions, the edges are (0, 1), then (pa, c) for c = 2, 3,
+        # ..., then (pb, c); no triangle (pa, pb, c) is odd, as c = pa +- pb is even if both are
         odd, size = bytes(map(and_, nums, repeat(1))), len(nums) - 2
-        c_odd = int.from_bytes(odd[2:], "little")  # byte k: triangle k's c is odd
-        # byte k: triangle k's edge (pa, c), or (pb, c), is odd; padded, as one index gives no tuple
+        c_odd = int.from_bytes(odd[2:], "little")  # byte k: vertex k + 2 is odd
+        # byte k: the edge (pa, c), or (pb, c), of c = k + 2 is odd; padded, as one index gives no tuple
         a_odd, b_odd = (c_odd & int.from_bytes(bytes(itemgetter(0, 0, *ends)(odd)[2:]), "little")
                         for ends in c._triangle_ends[:2])
         edge_rows = bytes([odd[0] & odd[1]]) + a_odd.to_bytes(size, "little") + b_odd.to_bytes(size, "little")
-        rows = odd, edge_rows, (a_odd & b_odd).to_bytes(size, "little")
         cuts = [[list(compress(column, mask)) for column in group] for group, mask in
-                zip(((c._ids, c._kinds, c._labels), c._edge_ends, c._triangle_ends), rows)]
-        return complexes.Complex._of(*cuts[0], *cuts[1:])
+                zip(((c._ids, c._kinds, c._labels), c._edge_ends), (odd, edge_rows))]
+        return complexes.Complex._of(*cuts[0], cuts[1])
     ids, kinds, labels, slope = c._ids, c._kinds, c._labels, complexes.KIND_SLOPE
     if set(kinds) - {slope}:
         j = next(j for j, kind in enumerate(kinds) if kind != slope)

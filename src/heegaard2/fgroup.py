@@ -42,8 +42,7 @@ def parse_word(text: str) -> str:
 
 def _checked(word: str) -> str:
     if bad := word.translate(_DELETE_LETTERS):
-        letters = sorted(set(bad))
-        raise ValueError(f"invalid letters {letters}; words use x, y, X, Y (X = x inverse)")
+        raise ValueError(f"invalid letters {sorted(set(bad))}; words use x, y, X, Y (X = x inverse)")
     return word
 
 
@@ -110,8 +109,7 @@ def cyclic_canonical(word: str) -> str:
     n = len(w)
     if n <= 1:
         return w
-    keyed = w.translate(_ORDER_KEY)
-    doubled = keyed + keyed
+    doubled = w.translate(_ORDER_KEY) * 2
     best = min(range(n), key=lambda i: doubled[i : i + n])
     return w[best:] + w[:best]
 
@@ -200,14 +198,8 @@ def has_primitive_block_form(word: str) -> bool:
 # modulo inner automorphisms: fix one generator and multiply the other by
 # it on either side with either sign.  Given as (image of x, image of y).
 WHITEHEAD_AUTOMORPHISMS: tuple[tuple[str, str], ...] = (
-    ("xy", "y"),
-    ("xY", "y"),
-    ("yx", "y"),
-    ("Yx", "y"),
-    ("x", "yx"),
-    ("x", "yX"),
-    ("x", "xy"),
-    ("x", "Xy"),
+    ("xy", "y"), ("xY", "y"), ("yx", "y"), ("Yx", "y"),
+    ("x", "yx"), ("x", "yX"), ("x", "xy"), ("x", "Xy"),
 )
 
 

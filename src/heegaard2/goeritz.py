@@ -59,24 +59,16 @@ def _lookup(table: Mapping, key: str, names: tuple = CASES, kind: str = "case"):
     return table[key]
 
 
-def _base(token: str) -> str:
-    return token[:-1] if token.endswith("'") else token
-
-
 def invert_word(word: Word) -> Word:
     """Formal inverse: reverse and toggle the apostrophe on each token."""
-    return tuple(
-        tok[:-1] if tok.endswith("'") else tok + "'" for tok in reversed(word)
-    )
+    return tuple(tok[:-1] if tok.endswith("'") else tok + "'" for tok in reversed(word))
 
 
 def parse_tokens(text: str) -> Word:
     """Parse a whitespace-separated token word; "1" is the empty word.
     Tokens are not checked against an alphabet: ``normal_form`` does that."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    return tuple(text.split())
+    word = tuple(text.split())
+    return () if word == ("1",) else word
 
 
 def format_tokens(word: Word) -> str:
@@ -94,7 +86,7 @@ class Presentation(namedtuple("Presentation", "generators relators central")):
         gens = set(generators)
         for r in relators:
             for tok in r:
-                if _base(tok) not in gens:
+                if tok.removesuffix("'") not in gens:
                     raise ValueError(f"relator token {tok!r} uses no declared generator")
         for g in central:
             if g not in gens:
@@ -116,11 +108,7 @@ def presentation_text(p: Presentation) -> str:
 
 
 def presentation_json(p: Presentation) -> dict:
-    return {
-        "generators": list(p.generators),
-        "relators": [list(r) for r in p.relators],
-        "central": list(p.central),
-    }
+    return {"generators": list(p.generators), "relators": [*map(list, p.relators)], "central": list(p.central)}
 
 
 def _presentation(*gens: str) -> Presentation:
@@ -145,10 +133,7 @@ def _check_alphabet(word: Word, case: str) -> None:
     allowed = _lookup(_ALLOWED_TOKENS, case)
     for tok in word:
         if tok not in allowed:
-            raise ValueError(
-                f"token {tok!r} is not over the case-{case} alphabet "
-                f"{_GOERITZ[case].generators}"
-            )
+            raise ValueError(f"token {tok!r} is not over the case-{case} alphabet {_GOERITZ[case].generators}")
 
 
 def goeritz_presentation(case: str) -> Presentation:
@@ -211,9 +196,7 @@ def amalgam_assemble(data: AmalgamData) -> Presentation:
     a, b, edge = data
     for g in a.generators:
         if g in b.generators and g not in edge.generators:
-            raise ValueError(
-                f"inconsistent shared generator {g!r}: not carried by the edge group"
-            )
+            raise ValueError(f"inconsistent shared generator {g!r}: not carried by the edge group")
     for g in edge.generators:
         if g not in a.generators or g not in b.generators:
             raise ValueError(f"edge generator {g!r} is not a generator of both factors")
@@ -233,10 +216,7 @@ def case_amalgam(case: str) -> AmalgamData:
     the disk one again with g2 for g1) over that of a disk and a sphere
     (of an ordered disk pair in case 2)."""
     vertex_a = stabilizer_presentation("disk", case)
-    if case == "1a":
-        vertex_b = _presentation("a", "b", "g2")
-    else:
-        vertex_b = stabilizer_presentation("disk_pair", case)
+    vertex_b = _presentation("a", "b", "g2") if case == "1a" else stabilizer_presentation("disk_pair", case)
     edge = stabilizer_presentation("disk_disk" if case == "2" else "disk_sphere", case)
     return AmalgamData(vertex_a, vertex_b, edge)
 
@@ -419,17 +399,9 @@ def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized group, from the Smith normal
     form of the relator exponent matrix."""
-    index = {g: i for i, g in enumerate(p.generators)}
-    rows = []
-    for r in p.relators:
-        row = [0] * len(p.generators)
-        for tok in r:
-            row[index[_base(tok)]] += -1 if tok.endswith("'") else 1
-        rows.append(row)
-    diag = _smith_diagonal(rows, len(p.generators))
-    torsion = tuple(d for d in diag if d > 1)
-    free_rank = len(p.generators) - sum(1 for d in diag if d != 0)
-    return AbelianInvariants(torsion, free_rank)
+    rows = [[r.count(g) - r.count(g + "'") for g in p.generators] for r in p.relators]
+    diag = _smith_diagonal(rows, len(p.generators))  # its entries are nonzero
+    return AbelianInvariants(tuple(d for d in diag if d > 1), len(p.generators) - len(diag))
 
 
 def element_order(case: str, word: Word, cutoff: int = 64) -> int | None:

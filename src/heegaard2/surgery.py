@@ -11,6 +11,7 @@ sequences do (a smaller gap brings the next x sooner).
 
 from array import array
 from collections import namedtuple
+from operator import sub
 
 from .classify import Lens
 
@@ -42,9 +43,7 @@ def gap_pattern(params: SplittingParams, i: int) -> tuple[int, ...]:
     if not 1 <= i <= params.p1:
         raise ValueError(f"index must lie in 1..{params.p1}, got {i}")
     points = sorted(j * params.q1 % params.p1 for j in range(i))
-    gaps = [points[k + 1] - points[k] for k in range(i - 1)]
-    gaps.append(params.p1 - points[-1])
-    return tuple(gaps)
+    return tuple(map(sub, points[1:] + [params.p1], points))
 
 
 def surgery_word(params: SplittingParams, i: int) -> str:

@@ -96,21 +96,26 @@ MUTANTS = (
            "    ids, nums, dens, pa, pb = table",
            ("tests/test_farey_grow.py::test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh",)),
     Mutant("ball-remakes-ids", "farey.py",
-           "    ids, nums, dens, pa, pb = build\n",
-           "    ids, nums, dens, pa, pb = build\n    ids = list(range(len(nums)))\n",
+           "    n, table, grown = len(nums), _table[1], ids[2:]\n",
+           "    ids = list(range(len(nums)))\n    n, table, grown = len(nums), _table[1], ids[2:]\n",
            ("tests/test_farey_grow.py::test_ball_columns_share_one_int_object_per_id",)),
     Mutant("ball-labels-grown-from-the-build", "farey.py",
-           "    if t_nums != nums or t_dens != dens:\n"
-           "        labels = list(map(_label, nums, dens))\n"
-           "    elif (k := len(labels)) < n:\n"
-           "        _labels = labels = [*labels, *map(_label, islice(t_nums, k, n), islice(t_dens, k, n))]\n",
-           "    if (k := len(labels)) < n:\n"
-           "        _labels = labels = [*labels, *map(_label, islice(nums, k, n), islice(dens, k, n))]\n",
+           "    if build != (table if len(table.nums) == n else _prefix(table, n)):\n",
+           "    if False:\n",
            ("tests/test_farey_grow.py::test_a_damaged_build_leaves_the_label_column_as_it_was",)),
-    Mutant("odd-cut-drops-the-triangles", "farey.py",
-           "rows = odd, edge_rows, (a_odd & b_odd).to_bytes(size, \"little\")",
-           "rows = odd, edge_rows, bytes(size)",
-           ("tests/test_farey_grow.py::test_odd_subcomplex_of_a_damaged_ball_matches_the_label_oracle",)),
+    Mutant("ball-served-by-its-slopes", "farey.py",
+           "    if build != (table if len(table.nums) == n else _prefix(table, n)):\n",
+           "    if build[1:3] != (table if len(table.nums) == n else _prefix(table, n))[1:3]:\n",
+           ("tests/test_farey_grow.py::test_odd_subcomplex_of_a_ball_on_shifted_ids_matches_the_label_oracle",
+            "tests/test_farey_grow.py::test_a_build_that_is_no_prefix_of_the_table_is_not_served")),
+    Mutant("store-remakes-each-column", "farey.py",
+           "column + tuple(_MAKERS[name](build, k, n))",
+           "tuple(_MAKERS[name](build, 0, n))",
+           ("tests/test_farey_grow.py::test_served_balls_read_in_any_order_have_the_fields_of_a_plain_complex",)),
+    Mutant("ball-makes-its-vertex-rows-at-once", "farey.py",
+           "    return ball._fill(ids, kinds, _stored(",
+           "    _rows(build, \"vertices\")\n    return ball._fill(ids, kinds, _stored(",
+           ("tests/test_cli.py::test_complex_output_builds_no_vertex_or_triangle_view",)),
     Mutant("odd-parents-forest-flag", "farey.py",
            "                forest = forest and not nums[b] & 1\n",
            "                forest = forest or not nums[b] & 1\n",

@@ -204,14 +204,19 @@ _COUNTED_ARGV = [
 
 
 def test_complex_output_builds_no_vertex_or_triangle_view(capsys, monkeypatch):
-    # the counts come off the columns, and json and dot print no triangle count
+    # the counts come off the columns, and json and dot print no triangle
+    # count; a served Farey ball makes no vertex or triangle rows either, in
+    # a row store started afresh so that any row read would be made
     expected = [run(capsys, *argv) for argv in _COUNTED_ARGV]
 
-    def unbuilt(cpx):
+    def unbuilt(*args):
         raise AssertionError("built a view to count it")
 
     for name in ("vertices", "triangles"):
-        monkeypatch.setattr(complexes.Complex, name, property(unbuilt))
+        for cls in (complexes.Complex, complexes._Served):
+            monkeypatch.setattr(cls, name, property(unbuilt))
+        monkeypatch.setitem(farey._MAKERS, name, unbuilt)
+    monkeypatch.setattr(farey, "_store", dict.fromkeys(farey._store, ()))
     for argv, want in zip(_COUNTED_ARGV, expected):
         assert want[0] == 0, argv
         assert run(capsys, *argv) == want, argv

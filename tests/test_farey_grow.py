@@ -8,6 +8,8 @@ import random
 import sys
 import threading
 from functools import cache
+from itertools import repeat
+from operator import is_
 
 import pytest
 from hypothesis import given
@@ -30,17 +32,17 @@ from helpers import (
 
 def _base_table(patch):
     """Through ``patch``, start the process's Farey table again from the base
-    rows, on columns of its own, and its label column again from nothing."""
+    rows, on columns of its own, and its row store again from nothing."""
     base = farey._BASE
     rows = farey._Build(list(range(4)), [s.n for s in base], [s.d for s in base], [0, 0], [1, 1])
     patch.setattr(farey, "_table", (0, rows))
-    patch.setattr(farey, "_labels", [])
+    patch.setattr(farey, "_store", dict.fromkeys(farey._store, ()))
 
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """Start the process's Farey table and label column again from the base
-    rows, so that every round and label the test asks for is made; both come
+    """Start the process's Farey table and row store again from the base
+    rows, so that every round and row the test asks for is made; both come
     back afterwards."""
     _base_table(monkeypatch)
 
@@ -142,7 +144,27 @@ _oracle_build = cache(grow_frontier_oracle)
 @cache
 def _oracle_labels(depth):
     build = _oracle_build(depth)
-    return [str(farey.Slope(n, d)) for n, d in zip(build.nums, build.dens)]
+    return tuple(str(farey.Slope(n, d)) for n, d in zip(build.nums, build.dens))
+
+
+@cache
+def _oracle_store(depth):
+    """The columns of ``farey._store`` for the depth-``depth`` ball, made
+    from the frontier oracle's build."""
+    build, labels = _oracle_build(depth), _oracle_labels(depth)
+    grown = build.ids[2:]
+    return {
+        "labels": labels,
+        "vertices": tuple(map(complexes.Vertex, build.ids, repeat(complexes.KIND_SLOPE), labels)),
+        "pa": tuple(zip(build.pa, grown)),
+        "pb": tuple(zip(build.pb, grown)),
+        "triangles": tuple(zip(build.pa, build.pb, grown)),
+    }
+
+
+def _assert_store_is_an_oracle_prefix(depth):
+    for name, column in farey._store.items():
+        assert column == _oracle_store(depth)[name][: len(column)], name
 
 
 def _columns(c):
@@ -170,7 +192,7 @@ def test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh(depths):
             ball = farey.stern_brocot_ball(depth)
             assert _columns(ball) == _fresh_ball_columns(depth), depth
             assert ball._labels == _oracle_labels(depth), depth
-            assert farey._labels == _oracle_labels(10)[: len(farey._labels)], depth
+            _assert_store_is_an_oracle_prefix(10)
             served.append((depth, build, ball))
     for depth, build, ball in served:
         assert build == _oracle_build(depth), depth
@@ -178,16 +200,59 @@ def test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh(depths):
         assert ball._labels == _oracle_labels(depth), depth
 
 
+def _fields(c):
+    return c.vertices, c.edges, c.triangles
+
+
+_oracle_fields = cache(lambda depth: _fields(stern_brocot_ball_oracle(depth)))
+
+
+def _rows_are_the_stores(ball):
+    """Every row of the ball's fields but the edge (0, 1) is a row object
+    of the store, as made once."""
+    stored = {id(row) for column in farey._store.values() for row in column}
+    rows = (*ball.vertices, *ball.edges - {(0, 1)}, *ball.triangles)
+    return all(id(row) in stored for row in rows)
+
+
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=6),
+       st.permutations(["vertices", "edges", "triangles"]), st.integers(0, 3))
+def test_served_balls_read_in_any_order_have_the_fields_of_a_plain_complex(depths, order, reads):
+    # whatever balls came before and whichever of its fields were read first,
+    # a served ball equals, hashes and prints as the plain complex on its
+    # columns (whose frozensets are built in the same row order), its rows
+    # are the store's, and the store holds only rows of the table's prefixes
+    with pytest.MonkeyPatch.context() as fresh:
+        _base_table(fresh)
+        served = []
+        for depth in depths:
+            ball = farey.stern_brocot_ball(depth)
+            assert type(ball) is complexes._Served, depth
+            for name in order[:reads]:
+                getattr(ball, name)
+            _assert_store_is_an_oracle_prefix(8)
+            served.append((depth, ball))
+        for depth, ball in served:
+            plain = complexes.Complex._of(*_columns(ball))
+            rows = complexes.Complex(plain.vertices, zip(*ball._edge_ends), zip(*ball._triangle_ends))
+            assert _fields(ball) == _fields(plain) == _fields(rows) == _oracle_fields(depth), depth
+            assert ball == plain == rows and hash(ball) == hash(plain) == hash(rows), depth
+            assert repr(ball) == repr(plain), depth
+            assert _rows_are_the_stores(ball), depth
+        _assert_store_is_an_oracle_prefix(8)
+
+
 def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
-    # four threads share one table and label column from the base rows; a
+    # four threads share one table and row store from the base rows; a
     # short switch interval makes them interleave within rounds
     depths = range(11)
     grown = [[] for _ in range(4)]
 
     def work(k):
         order = random.Random(k).sample(depths, len(depths))
-        grown[k] += ((depth, farey._grow(depth), farey.stern_brocot_ball(depth)._labels)
-                     for depth in order)
+        for depth in order:
+            build, ball = farey._grow(depth), farey.stern_brocot_ball(depth)
+            grown[k].append((depth, build, ball._labels, _fields(ball)))
 
     interval = sys.getswitchinterval()
     for _ in range(3):
@@ -202,12 +267,13 @@ def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert farey._labels == _oracle_labels(10)[: len(farey._labels)]
+        _assert_store_is_an_oracle_prefix(10)
     for served in grown:
-        assert sorted(depth for depth, _, _ in served) == sorted(list(depths) * 3)
-        for depth, build, labels in served:
+        assert sorted(depth for depth, *_ in served) == sorted(list(depths) * 3)
+        for depth, build, labels, fields in served:
             assert build == _oracle_build(depth), depth
             assert labels == _oracle_labels(depth), depth
+            assert fields == _oracle_fields(depth), depth
 
 
 def _shift_nums_past(build, row):
@@ -222,13 +288,59 @@ def test_a_damaged_build_leaves_the_label_column_as_it_was():
     # 5, is no prefix of the table: it formats labels of its own, and the
     # balls made afterwards still read the labels of the table's slopes
     farey.stern_brocot_ball(1)
-    column = farey._labels
+    column = farey._store["labels"]
     damaged = _shift_nums_past(farey._grow(4), 5)
     ball = farey._ball(damaged)
     assert ball._labels == [str(farey.Slope(n, d)) for n, d in zip(damaged.nums, damaged.dens)]
-    assert farey._labels is column
+    assert _fields(ball) == _fields(complexes.Complex._of(*_columns(ball)))
+    assert farey._store["labels"] is column
     assert farey.stern_brocot_ball(3)._labels == _oracle_labels(3)
-    assert farey._labels == _oracle_labels(3)
+    assert farey._store["labels"] == _oracle_labels(3)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda build: build._replace(ids=build.ids[:-2] + build.ids[:-3:-1]),
+        lambda build: rehang_build(build, 21, 0, 2),
+        lambda build: _shift_nums_past(build, 5),
+    ],
+    ids=["last-two-ids-swapped", "rehung", "shifted-nums"],
+)
+def test_a_build_that_is_no_prefix_of_the_table_is_not_served(damage):
+    # one column off the table is enough: the ball is a plain complex with
+    # labels of its own, and it is cut by its labels
+    build = damage(farey._grow(3))
+    column = farey._store["labels"]
+    ball = farey._ball(build)
+    assert type(ball) is complexes.Complex
+    assert "_nums" not in vars(ball)
+    assert farey._store["labels"] is column
+    assert farey.f_odd_subcomplex(ball) == f_odd_subcomplex_oracle(ball)
+
+
+def test_a_build_of_any_row_count_on_the_table_is_served():
+    # a prefix need not end at a round: the first 21 rows of the table
+    build = farey._grow(3)
+    ids, nums, dens, pa, pb = build
+    ball = farey._ball(farey._Build(ids[:21], nums[:21], dens[:21], pa[:19], pb[:19]))
+    assert type(ball) is complexes._Served
+    plain = complexes.Complex._of(*_columns(ball))
+    assert _fields(ball) == _fields(plain)
+    assert repr(ball) == repr(plain)
+    assert farey.f_odd_subcomplex(ball) == f_odd_subcomplex_oracle(ball)
+
+
+def test_odd_subcomplex_of_a_ball_on_shifted_ids_matches_the_label_oracle():
+    # ids, pa and pb of the depth-2 build shifted by 100: the ids are not
+    # row positions, so the ball is not served and is cut by its labels
+    build = farey._grow(2)
+    shift = [i + 100 for i in build.ids]
+    ball = farey._ball(build._replace(ids=shift, pa=[shift[a] for a in build.pa], pb=[shift[b] for b in build.pb]))
+    odd, oracle = farey.f_odd_subcomplex(ball), f_odd_subcomplex_oracle(ball)
+    assert odd == oracle
+    assert len(odd.vertices) == 11
+    assert complexes.to_json(odd) == complexes.to_json(oracle)
 
 
 @pytest.mark.usefixtures("fresh_table")
@@ -236,9 +348,22 @@ def test_only_making_a_ball_grows_the_label_column():
     farey.odd_tree_check(8)
     farey.odd_subtree(8)
     complexes.haken_complex_model(3, 2, 8)
-    assert farey._labels == []
+    assert farey._store == dict.fromkeys(farey._store, ())
     farey.stern_brocot_ball(2)
-    assert farey._labels == _oracle_labels(2)
+    assert farey._store["labels"] == _oracle_labels(2)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_a_served_ball_makes_the_rows_of_each_field_on_its_first_read():
+    # making a ball reads its edges (the triangle check); its vertex and
+    # triangle rows wait for their fields' first reads
+    ball = farey.stern_brocot_ball(3)
+    assert {name: len(column) for name, column in farey._store.items()} == {
+        "labels": 32, "vertices": 0, "pa": 30, "pb": 30, "triangles": 0}
+    assert ball.vertices is farey._store["vertices"]
+    assert len(ball.triangles) == len(farey._store["triangles"]) == 30
+    assert farey.stern_brocot_ball(1).vertices == farey._store["vertices"][:8]
+    _assert_store_is_an_oracle_prefix(3)
 
 
 def _refuse(*args):
