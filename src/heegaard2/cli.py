@@ -83,9 +83,7 @@ def _cmd_primitive(args) -> tuple[int, str]:
 
 def _cmd_classify(args) -> tuple[int, str]:
     from . import classify
-    m1 = classify.parse_summand(args.m1)
-    m2 = classify.parse_summand(args.m2)
-    descriptors = classify.splittings(m1, m2)
+    descriptors = classify.splittings(*map(classify.parse_summand, (args.m1, args.m2)))
     if args.format == "json":
         splittings = [{"case": d.case, "symmetric": d.symmetric} for d in descriptors]
         return 0, _json({"count": len(descriptors), "splittings": splittings})
@@ -174,8 +172,7 @@ _COMMANDS = {
         "--case": (str, ...), "--normal-form": (str, None), "--abelianization": (bool, False),
         "--format": _TEXT}),
     "farey": (_cmd_farey, "mediant balls and the odd subtree", {
-        "--max-depth": (_int, ...), "--odd": (bool, False), "--check-tree": (bool, False),
-        "--format": _GRAPH}),
+        "--max-depth": (_int, ...), "--odd": (bool, False), "--check-tree": (bool, False), "--format": _GRAPH}),
     "sphere-complex": (_cmd_sphere_complex, "grafted sphere-complex and cone models", {
         "--blacks": (_int, None), "--whites-per-black": (_int, None),
         "--farey-depth": (_int, None), "--cone": (_int, None), "--format": _GRAPH}),

@@ -56,14 +56,18 @@ class Complex:
                 raise ValueError(f"bad {name} ({', '.join(map(str, next(r for r in rows if len(r) != size)))})")
         vars(self).update(vertices=vertices, edges=edges, triangles=triangles)
         ids, kinds, labels = zip(*vertices) if vertices else ((), (), ())
-        self._fill(ids, kinds, labels, tuple(zip(*edges)) or ((), ()),
-                   tuple(zip(*triangles)) or ((), (), ()))
+        self._fill(ids, kinds, labels, tuple(zip(*edges)) or ((), ()), tuple(zip(*triangles)) or ((), (), ()))
 
-    def _fill(self, ids, kinds, labels, edge_ends, triangle_ends=((), (), ())) -> "Complex":
-        """Keep the columns the caller hands over; raise ``ValueError`` at their first defect,
-        with the message and in the order of a check of each vertex, edge and triangle."""
+    def _keep(self, ids, kinds, labels, edge_ends, triangle_ends=((), (), ())) -> "Complex":
         vars(self).update(_ids=ids, _kinds=kinds, _labels=labels, _edge_ends=edge_ends,
                           _triangle_ends=triangle_ends)
+        return self
+
+    def _fill(self, ids, kinds, labels, edge_ends, triangle_ends=((), (), ())) -> "Complex":
+        """Keep the columns the caller hands over, as ``_keep`` does, and raise ``ValueError``
+        at their first defect, with the message and in the order of a check of each vertex,
+        edge and triangle; ``_keep`` alone checks nothing."""
+        self._keep(ids, kinds, labels, edge_ends, triangle_ends)
         idset = set(ids)
         if len(idset) != len(ids):
             raise ValueError("duplicate vertex ids")

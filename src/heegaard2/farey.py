@@ -21,9 +21,9 @@ a process keeps one table, the deepest grown so far, grows each round of
 it once and serves every depth as its prefix.  A ball on such a prefix is
 served from a row store kept the same way: its labels, ``Vertex`` rows and
 edge and triangle rows, each made once per process when a ball first reads
-it.  No other module reads a build; only ``stern_brocot_ball`` makes a
-``Complex`` of one, on the one int object per id, and a served ball keeps
-its ``nums`` so that ``f_odd_subcomplex`` reads parity off the slopes.
+it; the ``Complex`` checks run once per row count, and the odd subcomplex is
+a slice of one cut per process.  No other module reads a build; only
+``stern_brocot_ball`` makes a ``Complex`` of one, on the one int object per id.
 
 The odd subcomplex keeps the odd-numerator vertices; in every ball it is
 a tree on 1/0.  A grown c = a +- b is odd exactly when one parent is, and
@@ -33,6 +33,7 @@ column, and ``odd_subtree`` lists its tree breadth-first for the graft.
 """
 
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 from itertools import chain, compress, islice, repeat
@@ -118,9 +119,9 @@ _table = 0, _Build(list(range(4)), [s.n for s in _BASE], [s.d for s in _BASE], [
 
 
 def _prefix(build: _Build, n: int) -> _Build:
-    """The build's first n vertices, on fresh copies of its columns."""
+    """The build's first n vertices: the build itself if it has n, else fresh copies of its columns."""
     ids, nums, dens, pa, pb = build
-    return _Build(ids[:n], nums[:n], dens[:n], pa[:n - 2], pb[:n - 2])
+    return build if n == len(nums) else _Build(ids[:n], nums[:n], dens[:n], pa[:n - 2], pb[:n - 2])
 
 
 def _grow(depth: int) -> _Build:
@@ -139,9 +140,7 @@ def _grow(depth: int) -> _Build:
     if depth < 0:
         raise ValueError("depth must be non-negative")
     made, table = _table
-    if depth == made:
-        return table
-    if depth < made:
+    if depth <= made:
         return _prefix(table, 4 << depth)
     ids, nums, dens, pa, pb = map(list, table)  # one int object per id, shared by pa and pb
     for _ in range(made, depth):
@@ -165,7 +164,8 @@ def _grow(depth: int) -> _Build:
         pa += ends_a
         pb += ends_b
     table = _Build(ids, nums, dens, pa, pb)
-    _table = depth, table  # one assignment: a race between threads only repeats rounds
+    if depth > _table[0]:  # one assignment, never to a shallower table: a race only repeats rounds
+        _table = depth, table
     return table
 
 
@@ -174,11 +174,11 @@ def _vertex_rows(t: _Build, k: int, n: int):
     return map(tuple.__new__, repeat(Vertex), zip(t.ids[k:n], repeat(KIND_SLOPE), _stored("labels", n, t)[k:n]))
 
 
-# Rows of _table made once per process, when a ball first reads them, fed only from
-# builds that are prefixes of _table; each column is replaced whole, never mutated.
-# _MAKERS[name](t, k, n) gives rows k..n-1 of a column from the build t: the label or
-# Vertex row of vertex k..n-1, or the edge (pa, c) or (pb, c) or triangle (pa, pb, c)
-# of vertex c = k+2..n+1.
+# Rows of _table made once per process, when a ball first reads them, fed only from builds
+# that are prefixes of _table, each column replaced whole, never mutated: _MAKERS[name](t, k, n)
+# gives rows k..n-1 of a column from the build t, the label or Vertex row of vertex k..n-1 or
+# the edge (pa, c) or (pb, c) or triangle (pa, pb, c) of c = k+2..n+1.  Beside them, "checked"
+# holds the row counts of served balls that passed Complex._fill, "odd" f_odd_subcomplex's cut.
 _MAKERS = {
     "labels": lambda t, k, n: map(_label, islice(t.nums, k, n), islice(t.dens, k, n)),
     "vertices": _vertex_rows,
@@ -186,7 +186,7 @@ _MAKERS = {
     "pb": lambda t, k, n: zip(islice(t.pb, k, n), islice(t.ids, k + 2, None)),
     "triangles": lambda t, k, n: zip(islice(t.pa, k, n), islice(t.pb, k, n), islice(t.ids, k + 2, None)),
 }
-_store = dict.fromkeys(_MAKERS, ())
+_store = dict.fromkeys([*_MAKERS, "checked", "odd"], ())
 
 
 def _stored(name: str, n: int, build: _Build) -> tuple:
@@ -197,8 +197,7 @@ def _stored(name: str, n: int, build: _Build) -> tuple:
 
 
 def _rows(build: _Build, field: str):
-    """Field ``field`` of the served ball of ``build``, from ``_store``: its vertex
-    rows, or its edge or triangle rows and their count."""
+    """The ``field`` rows of the served ball of ``build`` in ``_store``: a tuple, or an iterator and a count."""
     if field == "vertices":
         return _stored("vertices", n := len(build.nums), build)[:n]
     m = len(build.pa)
@@ -209,18 +208,24 @@ def _rows(build: _Build, field: str):
 
 def _ball(build: _Build) -> "Complex":
     """The complex of a build on its int objects.  A prefix of ``_table`` is served: its
-    labels and, when first read, its fields come from ``_store``, grown from the build
-    (a thread may have published a shallower table since), and it keeps ``nums`` (no
-    field) for ``f_odd_subcomplex``.  Any other build formats labels of its own."""
+    labels and, when first read, its fields come from ``_store``, grown from the build (a
+    thread may have published a shallower table since), it is checked until a ball of its
+    row count passes, and it keeps ``nums`` (no field) for ``f_odd_subcomplex``.  Any other
+    build formats labels of its own and is checked."""
     from .complexes import KIND_SLOPE, Complex, _Served  # deferred: --check-tree makes no Complex
     ids, nums, dens, pa, pb = build
     n, table, grown = len(nums), _table[1], ids[2:]
     kinds, edge_ends = [KIND_SLOPE] * n, ([ids[0], *pa, *pb], [ids[1], *grown, *grown])
-    if build != (table if len(table.nums) == n else _prefix(table, n)):
+    if build != _prefix(table, n):
         return Complex._of(ids, kinds, list(map(_label, nums, dens)), edge_ends, (pa, pb, grown))
     ball = object.__new__(_Served)
     vars(ball).update(_nums=nums, _rows=partial(_rows, build))  # before _fill, which reads the edges
-    return ball._fill(ids, kinds, _stored("labels", n, build)[:n], edge_ends, (pa, pb, grown))
+    columns = ids, kinds, _stored("labels", n, build)[:n], edge_ends, (pa, pb, grown)
+    if n in _store["checked"]:  # the same rows as a ball that has passed the checks
+        return ball._keep(*columns)
+    ball._fill(*columns)
+    _store["checked"] += (n,)
+    return ball
 
 
 def stern_brocot_ball(depth: int) -> "Complex":
@@ -239,23 +244,27 @@ def stern_brocot_ball(depth: int) -> "Complex":
 
 
 def f_odd_subcomplex(c: "Complex") -> "Complex":
-    """Full subcomplex on the odd-numerator vertices.  A served ball reads parity off
-    its slopes and is cut by position (its ids are its positions); any other complex
-    needs slope vertices labelled n/d in ASCII decimal digits, and parity is the
-    last digit before the ``/``."""
+    """Full subcomplex on the odd-numerator vertices.  A served ball is a slice, below its
+    row count, of one cut per process, made of the deepest served ball cut yet by slope parity
+    and position (ids are positions); ``_store`` is read once, as a thread may store a shallower
+    cut meanwhile.  Any other complex needs slope vertices labelled n/d in ASCII decimal
+    digits, and parity is the last digit before the ``/``."""
     from . import complexes
     if (nums := vars(c).get("_nums")) is not None:
-        # a served ball: ids are positions, the edges are (0, 1), then (pa, c) for c = 2, 3,
-        # ..., then (pb, c); no triangle (pa, pb, c) is odd, as c = pa +- pb is even if both are
-        odd, size = bytes(map(and_, nums, repeat(1))), len(nums) - 2
-        c_odd = int.from_bytes(odd[2:], "little")  # byte k: vertex k + 2 is odd
-        # byte k: the edge (pa, c), or (pb, c), of c = k + 2 is odd; padded, as one index gives no tuple
-        a_odd, b_odd = (c_odd & int.from_bytes(bytes(itemgetter(0, 0, *ends)(odd)[2:]), "little")
-                        for ends in c._triangle_ends[:2])
-        edge_rows = bytes([odd[0] & odd[1]]) + a_odd.to_bytes(size, "little") + b_odd.to_bytes(size, "little")
-        cuts = [[list(compress(column, mask)) for column in group] for group, mask in
-                zip(((c._ids, c._kinds, c._labels), c._edge_ends), (odd, edge_rows))]
-        return complexes.Complex._of(*cuts[0], cuts[1])
+        if (n := len(nums)) > (cut := _store["odd"] or (0,))[0]:
+            # edges (0, 1), (pa, c) for each c, then (pb, c); no triangle is odd: pa +- pb is even if both are
+            odd = bytes(map(and_, nums, repeat(1)))
+            c_odd = int.from_bytes(odd[2:], "little")  # byte k: vertex k + 2 is odd
+            # byte k: the edge (pa, c), or (pb, c), of c = k + 2 is odd; padded, as one index gives no tuple
+            a_odd, b_odd = ((c_odd & int.from_bytes(bytes(itemgetter(0, 0, *ends)(odd)[2:]), "little"))
+                            .to_bytes(n - 2, "little") for ends in c._triangle_ends[:2])
+            ids, labels = (tuple(compress(column, odd)) for column in (c._ids, c._labels))
+            ends = [tuple(compress(e, bytes([odd[0] & odd[1]]) + a_odd + b_odd)) for e in c._edge_ends]
+            cut = _store["odd"] = n, ids, labels, ends, (odd[0] & odd[1]) + a_odd.count(1)
+        _, ids, labels, ends, m = cut  # the odd (pa, c) rows are ends[:m], then (pb, c), each by c
+        k, i, j = bisect_left(ids, n), bisect_left(ends[1], n, 0, m), bisect_left(ends[1], n, m)
+        return complexes.Complex._of(ids[:k], [complexes.KIND_SLOPE] * k, labels[:k],
+                                     [e[:j] if i == m else e[:i] + e[m:j] for e in ends])
     ids, kinds, labels, slope = c._ids, c._kinds, c._labels, complexes.KIND_SLOPE
     if set(kinds) - {slope}:
         j = next(j for j, kind in enumerate(kinds) if kind != slope)

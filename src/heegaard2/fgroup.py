@@ -198,8 +198,7 @@ def has_primitive_block_form(word: str) -> bool:
 # modulo inner automorphisms: fix one generator and multiply the other by
 # it on either side with either sign.  Given as (image of x, image of y).
 WHITEHEAD_AUTOMORPHISMS: tuple[tuple[str, str], ...] = (
-    ("xy", "y"), ("xY", "y"), ("yx", "y"), ("Yx", "y"),
-    ("x", "yx"), ("x", "yX"), ("x", "xy"), ("x", "Xy"),
+    ("xy", "y"), ("xY", "y"), ("yx", "y"), ("Yx", "y"), ("x", "yx"), ("x", "yX"), ("x", "xy"), ("x", "Xy"),
 )
 
 

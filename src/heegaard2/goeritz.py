@@ -94,13 +94,9 @@ class Presentation(namedtuple("Presentation", "generators relators central")):
         return super().__new__(cls, generators, relators, central)
 
 
-def _collapse_runs(word: Word) -> str:
-    runs = [(tok, len(list(group))) for tok, group in groupby(word)]
-    return " ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in runs)
-
-
 def presentation_text(p: Presentation) -> str:
-    rel = ", ".join(_collapse_runs(r) for r in p.relators)
+    runs = ([(tok, len(list(group))) for tok, group in groupby(r)] for r in p.relators)
+    rel = ", ".join(" ".join(tok if n == 1 else f"{tok}^{n}" for tok, n in run) for run in runs)
     text = f"< {', '.join(p.generators)} | {rel} >"
     if p.central:
         text += f"  central: {', '.join(p.central)}"
@@ -145,20 +141,16 @@ def goeritz_presentation(case: str) -> Presentation:
     return _lookup(_GOERITZ, case)
 
 
-# generators of each stabilizer in cases 1a, 1b and 2; the lens cases differ
-# only in the unordered disk pair, which carries the half twist d if symmetric
+# generators of each stabilizer in cases 1a, 1b and 2, keyed by what it stabilizes: one disk,
+# alone or with a sphere or a sphere pair, or a disk pair, where a name twice (sphere_sphere)
+# is an ordered pair and "pair" an unordered one.  The lens cases differ only in the
+# unordered disk pair, which carries the half twist d if symmetric
 _STABILIZER_GENERATORS = {
-    # one disk and one sphere
     "disk_sphere": (("a", "b"), ("a", "b"), ("a", "b", "t")),
-    # one disk and an ordered sphere pair
     "disk_sphere_sphere": (("a",), ("a",), ("a", "t")),
-    # one disk and an unordered sphere pair
     "disk_sphere_pair": (("a", "g1"), ("a", "g1"), ("a", "g", "t")),
-    # one disk
     "disk": (("a", "b", "g1"), ("a", "b", "g1"), ("a", "b", "g", "t")),
-    # an ordered disk pair
     "disk_disk": (("a", "b"), ("a", "b"), ("a", "t")),
-    # an unordered disk pair
     "disk_pair": (("a", "b"), ("a", "b", "d"), ("a", "s", "t")),
 }
 STABILIZERS = tuple(_STABILIZER_GENERATORS)

@@ -7,7 +7,8 @@ import re
 import sys
 from collections import deque
 from functools import partial
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import and_, itemgetter
 
 from heegaard2 import cli, complexes, farey, fgroup
 from heegaard2.complexes import KIND_BLACK, KIND_SLOPE, KIND_WHITE, Complex, Vertex
@@ -528,6 +529,23 @@ def f_odd_subcomplex_oracle(c):
         raise ValueError(f"vertex {v.id} has label {v.label!r}, not a slope n/d")
     keep = {v.id for v, d in zip(c.vertices, digits) if d in "13579"}
     return induced_oracle(c, keep)
+
+
+def odd_mask_columns(c):
+    """The columns (ids, kinds, labels, edge ends) of the odd subcomplex of a served
+    Farey ball, cut as ``f_odd_subcomplex`` cut each ball before it kept one cut per
+    process: byte masks of the odd vertices and of the odd edge rows, the edges being
+    (0, 1), then (pa, c) for c = 2, 3, ..., then (pb, c)."""
+    nums = c._nums
+    odd, size = bytes(map(and_, nums, repeat(1))), len(nums) - 2
+    c_odd = int.from_bytes(odd[2:], "little")  # byte k: vertex k + 2 is odd
+    # byte k: the edge (pa, c), or (pb, c), of c = k + 2 is odd; padded, as one index gives no tuple
+    a_odd, b_odd = (c_odd & int.from_bytes(bytes(itemgetter(0, 0, *ends)(odd)[2:]), "little")
+                    for ends in c._triangle_ends[:2])
+    edge_rows = bytes([odd[0] & odd[1]]) + a_odd.to_bytes(size, "little") + b_odd.to_bytes(size, "little")
+    cuts = [[list(compress(column, mask)) for column in group] for group, mask in
+            zip(((c._ids, c._kinds, c._labels), c._edge_ends), (odd, edge_rows))]
+    return (*cuts[0], cuts[1])
 
 
 def printed_slope(label):

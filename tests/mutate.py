@@ -88,8 +88,8 @@ MUTANTS = (
            "        for a, b, x in reversed(list(zip(ends_a, ends_b, apexes))):\n",
            ("tests/test_farey_grow.py::test_grow_matches_the_frontier_oracle",)),
     Mutant("grow-serves-the-deeper-table", "farey.py",
-           "    if depth == made:\n",
-           "    if depth <= made:\n",
+           "    return build if n == len(nums) else",
+           "    return build if n <= len(nums) else",
            ("tests/test_farey_grow.py::test_any_order_of_depths_serves_each_build_and_ball_as_grown_afresh",)),
     Mutant("grow-extends-the-published-columns", "farey.py",
            "    ids, nums, dens, pa, pb = map(list, table)",
@@ -100,12 +100,12 @@ MUTANTS = (
            "    ids = list(range(len(nums)))\n    n, table, grown = len(nums), _table[1], ids[2:]\n",
            ("tests/test_farey_grow.py::test_ball_columns_share_one_int_object_per_id",)),
     Mutant("ball-labels-grown-from-the-build", "farey.py",
-           "    if build != (table if len(table.nums) == n else _prefix(table, n)):\n",
+           "    if build != _prefix(table, n):\n",
            "    if False:\n",
            ("tests/test_farey_grow.py::test_a_damaged_build_leaves_the_label_column_as_it_was",)),
     Mutant("ball-served-by-its-slopes", "farey.py",
-           "    if build != (table if len(table.nums) == n else _prefix(table, n)):\n",
-           "    if build[1:3] != (table if len(table.nums) == n else _prefix(table, n))[1:3]:\n",
+           "    if build != _prefix(table, n):\n",
+           "    if build[1:3] != _prefix(table, n)[1:3]:\n",
            ("tests/test_farey_grow.py::test_odd_subcomplex_of_a_ball_on_shifted_ids_matches_the_label_oracle",
             "tests/test_farey_grow.py::test_a_build_that_is_no_prefix_of_the_table_is_not_served")),
     Mutant("store-remakes-each-column", "farey.py",
@@ -113,9 +113,25 @@ MUTANTS = (
            "tuple(_MAKERS[name](build, 0, n))",
            ("tests/test_farey_grow.py::test_served_balls_read_in_any_order_have_the_fields_of_a_plain_complex",)),
     Mutant("ball-makes-its-vertex-rows-at-once", "farey.py",
-           "    return ball._fill(ids, kinds, _stored(",
-           "    _rows(build, \"vertices\")\n    return ball._fill(ids, kinds, _stored(",
+           "    columns = ids, kinds, _stored(",
+           "    _rows(build, \"vertices\")\n    columns = ids, kinds, _stored(",
            ("tests/test_cli.py::test_complex_output_builds_no_vertex_or_triangle_view",)),
+    Mutant("grow-publishes-a-shallower-table", "farey.py",
+           "    if depth > _table[0]:",
+           "    if True:",
+           ("tests/test_farey_grow.py::test_a_table_grown_meanwhile_deeper_stays_published",)),
+    Mutant("ball-trusts-every-served-count", "farey.py",
+           "    if n in _store[\"checked\"]:",
+           "    if True:",
+           ("tests/test_farey_grow.py::test_a_served_row_count_is_checked_until_a_ball_of_it_passes",)),
+    Mutant("odd-cut-drops-the-pb-rows", "farey.py",
+           "[e[:j] if i == m else e[:i] + e[m:j] for e in ends]",
+           "[e[:i] for e in ends]",
+           ("tests/test_farey_grow.py::test_served_odd_subcomplexes_in_any_order_are_the_oracles_and_the_mask_cuts",)),
+    Mutant("odd-cut-slices-with-bisect-right", "farey.py",
+           "from bisect import bisect_left\n",
+           "from bisect import bisect_right as bisect_left\n",
+           ("tests/test_farey_grow.py::test_served_odd_subcomplexes_in_any_order_are_the_oracles_and_the_mask_cuts",)),
     Mutant("odd-parents-forest-flag", "farey.py",
            "                forest = forest and not nums[b] & 1\n",
            "                forest = forest or not nums[b] & 1\n",

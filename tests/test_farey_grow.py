@@ -22,6 +22,7 @@ from helpers import (
     f_odd_subcomplex_oracle,
     grow_frontier_oracle,
     odd_graft_tree_oracle,
+    odd_mask_columns,
     odd_subcomplex_oracle,
     reach_oracle,
     rehang_build,
@@ -150,21 +151,42 @@ def _oracle_labels(depth):
 @cache
 def _oracle_store(depth):
     """The columns of ``farey._store`` for the depth-``depth`` ball, made
-    from the frontier oracle's build."""
+    from the frontier oracle's build: its row columns, the row counts a
+    served ball can have, and the odd vertices with their labels and the odd
+    edge rows (pa, c) and (pb, c), from which ``_odd_cut`` picks a cut."""
     build, labels = _oracle_build(depth), _oracle_labels(depth)
-    grown = build.ids[2:]
+    grown, odd = build.ids[2:], [n % 2 for n in build.nums]
+    odd_edges = ([(a, c) for a, c in zip(ends, grown) if odd[a] and odd[c]] for ends in (build.pa, build.pb))
     return {
         "labels": labels,
         "vertices": tuple(map(complexes.Vertex, build.ids, repeat(complexes.KIND_SLOPE), labels)),
         "pa": tuple(zip(build.pa, grown)),
         "pb": tuple(zip(build.pb, grown)),
         "triangles": tuple(zip(build.pa, build.pb, grown)),
+        "checked": range(2, len(labels) + 1),
+        "odd": ([i for i in build.ids if odd[i]], [label for label, o in zip(labels, odd) if o], *odd_edges),
     }
 
 
+def _odd_cut(depth, n):
+    """The stored odd cut of the ball on the first n rows of the table, as
+    (n, odd ids, their labels, odd edge rows (pa, c) by c, then (pb, c) by c)."""
+    ids, labels, *edges = _oracle_store(depth)["odd"]
+    k = sum(i < n for i in ids)
+    return n, ids[:k], labels[:k], *([(a, c) for a, c in rows if c < n] for rows in edges)
+
+
 def _assert_store_is_an_oracle_prefix(depth):
+    oracle = _oracle_store(depth)
     for name, column in farey._store.items():
-        assert column == _oracle_store(depth)[name][: len(column)], name
+        if name == "checked":
+            assert set(column) <= set(oracle[name]), name
+        elif name == "odd" and column:
+            n, ids, labels, ends, m = column
+            rows = list(zip(*ends))
+            assert (n, list(ids), list(labels), rows[:m], rows[m:]) == _odd_cut(depth, n), name
+        elif name != "odd":
+            assert column == oracle[name][: len(column)], name
 
 
 def _columns(c):
@@ -242,6 +264,9 @@ def test_served_balls_read_in_any_order_have_the_fields_of_a_plain_complex(depth
         _assert_store_is_an_oracle_prefix(8)
 
 
+_oracle_odd_fields = cache(lambda depth: _fields(odd_subcomplex_oracle(stern_brocot_ball_oracle(depth))))
+
+
 def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
     # four threads share one table and row store from the base rows; a
     # short switch interval makes them interleave within rounds
@@ -252,7 +277,8 @@ def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
         order = random.Random(k).sample(depths, len(depths))
         for depth in order:
             build, ball = farey._grow(depth), farey.stern_brocot_ball(depth)
-            grown[k].append((depth, build, ball._labels, _fields(ball)))
+            odd = farey.f_odd_subcomplex(ball)
+            grown[k].append((depth, build, ball._labels, _fields(ball), _fields(odd)))
 
     interval = sys.getswitchinterval()
     for _ in range(3):
@@ -270,10 +296,74 @@ def test_threads_growing_shuffled_depths_each_get_the_oracle_build(monkeypatch):
         _assert_store_is_an_oracle_prefix(10)
     for served in grown:
         assert sorted(depth for depth, *_ in served) == sorted(list(depths) * 3)
-        for depth, build, labels, fields in served:
+        for depth, build, labels, fields, odd in served:
             assert build == _oracle_build(depth), depth
             assert labels == _oracle_labels(depth), depth
             assert fields == _oracle_fields(depth), depth
+            assert odd == _oracle_odd_fields(depth), depth
+
+
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(2, 4 << 10)), min_size=1, max_size=6))
+def test_served_odd_subcomplexes_in_any_order_are_the_oracles_and_the_mask_cuts(requests):
+    # balls of any row count n on the table, in any order of depths: each odd
+    # subcomplex, a slice of the one stored cut below n, is the label oracle's
+    # and prints and renders as the complex on the parity-mask columns
+    with pytest.MonkeyPatch.context() as fresh:
+        _base_table(fresh)
+        for depth, count in requests:
+            n = min(count, 4 << depth)
+            ball = farey._ball(farey._prefix(farey._grow(depth), n))
+            assert type(ball) is complexes._Served, (depth, n)
+            odd, masks = farey.f_odd_subcomplex(ball), complexes.Complex._of(*odd_mask_columns(ball))
+            assert odd == f_odd_subcomplex_oracle(ball) == masks, (depth, n)
+            assert repr(odd) == repr(masks), (depth, n)
+            assert complexes.to_json(odd) == complexes.to_json(masks), (depth, n)
+            _assert_store_is_an_oracle_prefix(10)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_a_served_row_count_is_checked_until_a_ball_of_it_passes(monkeypatch):
+    # a table whose vertex 21 hangs on 1/1 - -1/1, which is no edge, published
+    # whole: each depth-3 ball fails the triangle check, a depth-2 ball (16
+    # rows, all sound) passes it, and a second depth-2 ball is not checked
+    damaged = rehang_build(farey._grow(3), 21, 2, 3)
+    monkeypatch.setattr(farey, "_table", (3, damaged))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^triangle \(2, 3, 21\) is missing edge \(2, 3\)$"):
+            farey.stern_brocot_ball(3)
+    assert farey._store["checked"] == ()
+    fill, filled = complexes.Complex._fill, []
+
+    def spy(self, *columns):
+        filled.append(len(columns[0]))
+        return fill(self, *columns)
+
+    monkeypatch.setattr(complexes.Complex, "_fill", spy)
+    first, second = farey.stern_brocot_ball(2), farey.stern_brocot_ball(2)
+    assert filled == [16]
+    assert farey._store["checked"] == (16,)
+    assert _columns(first) == _columns(second) == _fresh_ball_columns(2)
+    assert _fields(second) == _oracle_fields(2)
+
+
+@pytest.mark.usefixtures("fresh_table")
+def test_a_table_grown_meanwhile_deeper_stays_published(monkeypatch):
+    # while _grow(8) grows from depth 3, its first apex grows the table to
+    # depth 10 re-entrantly; _grow(8) returns its own build and leaves the
+    # deeper table published
+    farey._grow(3)
+    mediants, inner = farey._mediants, []
+
+    def reenter(*ends):
+        if not inner:
+            inner.append(None)
+            inner[0] = farey._grow(10)
+        return mediants(*ends)
+
+    monkeypatch.setattr(farey, "_mediants", reenter)
+    assert farey._grow(8) == _oracle_build(8)
+    assert farey._table == (10, inner[0])
+    assert inner[0] == _oracle_build(10)
 
 
 def _shift_nums_past(build, row):
@@ -355,15 +445,21 @@ def test_only_making_a_ball_grows_the_label_column():
 
 @pytest.mark.usefixtures("fresh_table")
 def test_a_served_ball_makes_the_rows_of_each_field_on_its_first_read():
-    # making a ball reads its edges (the triangle check); its vertex and
-    # triangle rows wait for their fields' first reads
+    # the first ball of a row count reads its edges (the triangle check); its
+    # vertex and triangle rows wait for their fields' first reads, and a ball
+    # of a row count that has passed the checks reads no edge rows
     ball = farey.stern_brocot_ball(3)
     assert {name: len(column) for name, column in farey._store.items()} == {
-        "labels": 32, "vertices": 0, "pa": 30, "pb": 30, "triangles": 0}
+        "labels": 32, "vertices": 0, "pa": 30, "pb": 30, "triangles": 0, "checked": 1, "odd": 0}
     assert ball.vertices is farey._store["vertices"]
     assert len(ball.triangles) == len(farey._store["triangles"]) == 30
     assert farey.stern_brocot_ball(1).vertices == farey._store["vertices"][:8]
     _assert_store_is_an_oracle_prefix(3)
+    farey._store.update(pa=(), pb=())
+    again = farey.stern_brocot_ball(3)
+    assert farey._store["pa"] == farey._store["pb"] == ()
+    assert again.edges == ball.edges
+    assert farey._store["checked"] == (32, 8)
 
 
 def _refuse(*args):
